@@ -77,15 +77,6 @@ type built = {
   objective : Objective.mode;
   col_bands : int array;
   row_bands : int array;
-  col_blocks : int array;
-      (* per column: owning rank for the Dantzig–Wolfe decomposition
-         (-1 for collective-vertex times shared across ranks); empty
-         after structural edits, like the bands *)
-  n_blocks : int;  (* rank count of the block tagging *)
-  horizon : float;
-      (* safe upper bound on every vertex time at the optimum (the
-         fully serialized slowest schedule, plus the deadline in energy
-         mode) — the pricing box for {!Lp.Decomp} *)
 }
 
 (* The bands pair in the shape {!Lp.Revised.solve} expects, or [None]
@@ -93,25 +84,6 @@ type built = {
 let bands_of (b : built) =
   if Array.length b.col_bands = 0 then None
   else Some (b.col_bands, b.row_bands)
-
-(* The block structure in the shape {!Lp.Decomp.solve} expects, or
-   [None] when the build carries no block metadata.  The guard rows are
-   the cap-carrying rows (power rows, plus the deadline row in energy
-   mode): when the solved duals are zero on all of them the cap is
-   unconstraining, the optimum massively degenerate, and {!Lp.Decomp}
-   defers to the monolithic solver for canonical vertex selection —
-   mirroring {!Experiments.Common.run_sweep}'s cold re-solve rule. *)
-let structure_of (b : built) =
-  if Array.length b.col_blocks = 0 then None
-  else
-    let guard_rows =
-      List.map fst b.meta
-      @ (match b.deadline_row with Some r -> [ r ] | None -> [])
-      |> Array.of_list
-    in
-    Some
-      (Lp.Decomp.structure ~box:b.horizon ~guard_rows ~nblocks:b.n_blocks
-         b.col_blocks)
 
 let build ?(reduce_slack = true) ?init
     ?(objective = Objective.Makespan_under_cap) (sc : Scenario.t) ~power_cap :
@@ -262,46 +234,6 @@ let build ?(reduce_slack = true) ?init
       let band = vpos.(g.Dag.Graph.tasks.(tid).Dag.Graph.t_src) in
       Array.iter (fun var -> col_bands.(var) <- band) vars)
     c;
-  (* Block tags: a configuration weight belongs to its task's rank, a
-     vertex time to its vertex's rank when unique (collectives — Init,
-     Finalize, allreduces — are shared across ranks).  Rows are not
-     tagged: {!Lp.Decomp} classifies them from the matrix. *)
-  let col_blocks = Array.make problem.Lp.Model.nv (-1) in
-  Array.iteri
-    (fun j var ->
-      match g.Dag.Graph.vertices.(j).Dag.Graph.ranks with
-      | [ r ] -> col_blocks.(var) <- r
-      | _ -> ())
-    v;
-  Array.iteri
-    (fun tid vars ->
-      let r = g.Dag.Graph.tasks.(tid).Dag.Graph.rank in
-      Array.iter (fun var -> col_blocks.(var) <- r) vars)
-    c;
-  (* Serialized slowest schedule: a sound bound on every vertex time of
-     an optimal solution (the ord chain keeps all of them at or below
-     the Finalize time, itself bounded by the deadline or makespan). *)
-  let horizon =
-    let h = ref 1.0 in
-    Array.iter
-      (fun (t : Dag.Graph.task) ->
-        let f = sc.Scenario.frontiers.(t.Dag.Graph.tid) in
-        if Array.length f > 0 then
-          h := !h +. (Pareto.Frontier.slowest f).Pareto.Point.duration)
-      g.Dag.Graph.tasks;
-    Array.iter
-      (fun (vx : Dag.Graph.vertex) -> h := !h +. vx.Dag.Graph.delay)
-      g.Dag.Graph.vertices;
-    Array.iter
-      (fun (msg : Dag.Graph.message) ->
-        h := !h +. Machine.Network.transfer_time msg.Dag.Graph.bytes)
-      g.Dag.Graph.messages;
-    (match objective with
-    | Objective.Energy_under_deadline { deadline } ->
-        if Float.is_finite deadline then h := !h +. deadline
-    | Objective.Makespan_under_cap -> ());
-    !h
-  in
   {
     problem;
     v_vars = v;
@@ -312,9 +244,6 @@ let build ?(reduce_slack = true) ?init
     objective;
     col_bands;
     row_bands = Array.of_list (List.rev !rbands);
-    col_blocks;
-    n_blocks = g.Dag.Graph.nranks;
-    horizon;
   }
 
 (** The compiled LP in MPS format, for cross-checking against external
@@ -471,12 +400,11 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
   let b = pz.pbuilt in
   let p = b.problem in
   let bands = bands_of b in
-  let structure = structure_of b in
   let r =
     match pz.resolution with
     | `Reduced red ->
         Lp.Presolve.solve_reduction ~max_iter ?rhs ?warm
-          ?analysis:pz.panalysis ?bands ?structure p red
+          ?analysis:pz.panalysis ?bands p red
     | `Each ->
         let pp =
           match rhs with
@@ -485,8 +413,7 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
         in
         { (Lp.Presolve.solve ~max_iter pp) with Lp.Revised.basis = None }
     | `Full ->
-        Lp.Decomp.solve ~max_iter ?rhs ?warm ?analysis:pz.panalysis ?bands
-          ?structure p
+        Lp.Revised.solve ~max_iter ?rhs ?warm ?analysis:pz.panalysis ?bands p
   in
   (outcome_of ~mode ~objective pz.psc b r, r.Lp.Revised.basis)
 
@@ -552,65 +479,78 @@ let pp_domain_edit ppf = function
   | Perturb_task { tid; point; duration; power } ->
       Fmt.pf ppf "perturb-task %d:%d to (%g s, %g W)" tid point duration power
 
-let check_rank (sc : Scenario.t) r what =
-  let n = sc.Scenario.graph.Dag.Graph.nranks in
-  if r < 0 || r >= n then
-    invalid_arg
-      (Printf.sprintf "Event_lp.%s: rank %d outside 0..%d" what r (n - 1))
-
-(* Mirror the edits on the scenario itself, so blends, duals, digests and
-   cache keys all see the edited world.  Frontier arrays are copied, never
-   mutated — scenarios share hull arrays across tasks and builds. *)
-let edit_scenario (sc : Scenario.t) (des : domain_edit list) : Scenario.t =
+(* The one validity check for a domain-edit list, shared by
+   [edit_scenario] and [compile_edits]: apply the edits in order to a
+   copy of the frontiers, so each edit is checked against the world the
+   earlier ones leave (a task of a dropped rank has no configuration
+   left to perturb).  Frontier arrays are copied, never mutated —
+   scenarios share hull arrays across tasks and builds. *)
+let edit_frontiers (sc : Scenario.t) (des : domain_edit list) =
   let frontiers = Array.copy sc.Scenario.frontiers in
+  let nt = Array.length frontiers in
+  let nr = sc.Scenario.graph.Dag.Graph.nranks in
   let each_rank_task r f =
     Array.iteri
       (fun tid (t : Dag.Graph.task) -> if t.Dag.Graph.rank = r then f tid)
       sc.Scenario.graph.Dag.Graph.tasks
   in
-  List.iter
-    (fun de ->
-      match de with
-      | Fail_socket r ->
-          check_rank sc r "edit_scenario";
-          (* socket stuck in its most frugal state: hull collapses to the
-             slowest point *)
-          each_rank_task r (fun tid ->
-              if Array.length frontiers.(tid) > 1 then
-                frontiers.(tid) <- [| frontiers.(tid).(0) |])
-      | Drop_rank r ->
-          check_rank sc r "edit_scenario";
-          each_rank_task r (fun tid -> frontiers.(tid) <- [||])
-      | Perturb_task { tid; point; duration; power } ->
-          let nt = Array.length frontiers in
-          if tid < 0 || tid >= nt then
-            invalid_arg
-              (Printf.sprintf "Event_lp.edit_scenario: task %d outside 0..%d"
-                 tid (nt - 1));
-          let f = frontiers.(tid) in
-          if point < 0 || point >= Array.length f then
-            invalid_arg
-              (Printf.sprintf
-                 "Event_lp.edit_scenario: point %d outside task %d's frontier"
-                 point tid);
-          if not (Float.is_finite duration && Float.is_finite power)
-             || duration <= 0.0 || power <= 0.0
-          then
-            invalid_arg
-              "Event_lp.edit_scenario: perturbed (duration, power) must be \
-               finite and positive";
-          let f' = Array.copy f in
-          f'.(point) <- { f.(point) with Pareto.Point.duration; power };
-          frontiers.(tid) <- f')
-    des;
-  { sc with Scenario.frontiers }
+  let apply = function
+    | (Fail_socket r | Drop_rank r) when r < 0 || r >= nr ->
+        Error (Printf.sprintf "rank %d outside 0..%d" r (nr - 1))
+    | Fail_socket r ->
+        (* socket stuck in its most frugal state: hull collapses to the
+           slowest point *)
+        each_rank_task r (fun tid ->
+            if Array.length frontiers.(tid) > 1 then
+              frontiers.(tid) <- [| frontiers.(tid).(0) |]);
+        Ok ()
+    | Drop_rank r ->
+        each_rank_task r (fun tid -> frontiers.(tid) <- [||]);
+        Ok ()
+    | Perturb_task { tid; _ } when tid < 0 || tid >= nt ->
+        Error (Printf.sprintf "task %d outside 0..%d" tid (nt - 1))
+    | Perturb_task { tid; _ } when Array.length frontiers.(tid) = 0 ->
+        Error (Printf.sprintf "task %d has no configuration to perturb" tid)
+    | Perturb_task { tid; point; _ }
+      when point < 0 || point >= Array.length frontiers.(tid) ->
+        Error
+          (Printf.sprintf "point %d outside task %d's frontier 0..%d" point
+             tid
+             (Array.length frontiers.(tid) - 1))
+    | Perturb_task { duration; power; _ }
+      when (not (Float.is_finite duration && Float.is_finite power))
+           || duration <= 0.0 || power <= 0.0 ->
+        Error "perturbed (duration, power) must be finite and positive"
+    | Perturb_task { tid; point; duration; power } ->
+        let f' = Array.copy frontiers.(tid) in
+        f'.(point) <- { f'.(point) with Pareto.Point.duration; power };
+        frontiers.(tid) <- f';
+        Ok ()
+  in
+  let rec go = function
+    | [] -> Ok frontiers
+    | de :: rest -> Result.bind (apply de) (fun () -> go rest)
+  in
+  go des
 
-(* Compile domain edits to elementary LP edits against [p].  Rows and
-   columns are located by the names [build] gave them ("conv%d",
-   "prec_t%d", "pow%d", "c%d_%d"), re-resolved against the evolving
-   problem after every elementary edit — names survive index shifts,
-   indices do not. *)
-let compile_edits_problem (sc : Scenario.t) (p : Lp.Model.problem)
+let check_edits sc des = Result.map ignore (edit_frontiers sc des)
+
+let valid_frontiers what sc des =
+  match edit_frontiers sc des with
+  | Ok frontiers -> frontiers
+  | Error msg -> invalid_arg (Printf.sprintf "Event_lp.%s: %s" what msg)
+
+(* Mirror the edits on the scenario itself, so blends, duals, digests and
+   cache keys all see the edited world. *)
+let edit_scenario (sc : Scenario.t) (des : domain_edit list) : Scenario.t =
+  { sc with Scenario.frontiers = valid_frontiers "edit_scenario" sc des }
+
+(* Compile already-checked domain edits to elementary LP edits against
+   [p].  Rows and columns are located by the names [build] gave them
+   ("conv%d", "prec_t%d", "pow%d", "c%d_%d"), re-resolved against the
+   evolving problem after every elementary edit — names survive index
+   shifts, indices do not. *)
+let compile_checked (sc : Scenario.t) (p : Lp.Model.problem)
     (des : domain_edit list) : Lp.Edit.t list =
   let find names n name =
     let rec go i =
@@ -642,7 +582,6 @@ let compile_edits_problem (sc : Scenario.t) (p : Lp.Model.problem)
     (fun de ->
       match de with
       | Fail_socket r ->
-          check_rank sc r "compile_edits";
           each_rank_task r (fun tid ->
               (* pin every weight but the most frugal one to zero *)
               let k = ref 1 in
@@ -655,7 +594,6 @@ let compile_edits_problem (sc : Scenario.t) (p : Lp.Model.problem)
                 | None -> continue := false
               done)
       | Drop_rank r ->
-          check_rank sc r "compile_edits";
           each_rank_task r (fun tid ->
               (match find_row (Printf.sprintf "conv%d" tid) with
               | Some row -> emit (Lp.Edit.Remove_row row)
@@ -670,12 +608,6 @@ let compile_edits_problem (sc : Scenario.t) (p : Lp.Model.problem)
                 | None -> continue := false
               done)
       | Perturb_task { tid; point; duration; power } ->
-          if not (Float.is_finite duration && Float.is_finite power)
-             || duration <= 0.0 || power <= 0.0
-          then
-            invalid_arg
-              "Event_lp.compile_edits: perturbed (duration, power) must be \
-               finite and positive";
           let col =
             match find_col (Printf.sprintf "c%d_%d" tid point) with
             | Some col -> col
@@ -703,7 +635,8 @@ let compile_edits_problem (sc : Scenario.t) (p : Lp.Model.problem)
   List.rev !acc
 
 let compile_edits (pz : prepared) (des : domain_edit list) : Lp.Edit.t list =
-  compile_edits_problem pz.psc pz.pbuilt.problem des
+  ignore (valid_frontiers "compile_edits" pz.psc des);
+  compile_checked pz.psc pz.pbuilt.problem des
 
 let prepared_problem (pz : prepared) = pz.pbuilt.problem
 
@@ -715,7 +648,8 @@ let edit_prepared ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
     (des : domain_edit list) :
     outcome * prepared * Lp.Revised.basis option =
   let b = pz.pbuilt in
-  let edits = compile_edits_problem pz.psc b.problem des in
+  let sc' = edit_scenario pz.psc des in
+  let edits = compile_checked pz.psc b.problem des in
   (* a reduced-space basis cannot be mapped across full-space edits *)
   let warm = match pz.resolution with `Full -> warm | `Reduced _ | `Each -> None in
   let p', r = Lp.Edit.resolve ~max_iter ?warm b.problem edits in
@@ -746,16 +680,11 @@ let edit_prepared ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
         | Some row when rmap.(row) >= 0 -> Some rmap.(row)
         | Some _ | None -> None);
       objective = b.objective;
-      (* structural edits invalidate the event-stage assignment and the
-         block tagging *)
+      (* structural edits invalidate the event-stage assignment *)
       col_bands = [||];
       row_bands = [||];
-      col_blocks = [||];
-      n_blocks = 0;
-      horizon = b.horizon;
     }
   in
-  let sc' = edit_scenario pz.psc des in
   let pz' =
     {
       psc = sc';
@@ -861,10 +790,6 @@ let switch_objective ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
           deadline_row = deadline_row';
           objective;
           row_bands = row_bands';
-          (* a switched handle re-solves warm from the previous mode's
-             basis; the decomposition targets cold solves only *)
-          col_blocks = [||];
-          n_blocks = 0;
         }
       in
       let pz' =

@@ -173,19 +173,28 @@ type domain_edit =
 
 val pp_domain_edit : Format.formatter -> domain_edit -> unit
 
+val check_edits : Scenario.t -> domain_edit list -> (unit, string) result
+(** The one validity check behind {!edit_scenario}, {!compile_edits}
+    and {!edit_prepared}, for callers that want a clean error before
+    any solve.  Edits apply in order, each checked against the world
+    the earlier ones leave: [Error] names an out-of-range rank or task,
+    a task with no configuration left to perturb (it does no work, or
+    its rank was dropped), a point outside the task's frontier, or a
+    non-finite or non-positive perturbed duration/power. *)
+
 val edit_scenario : Scenario.t -> domain_edit list -> Scenario.t
 (** The edited world as a scenario: frontiers truncated ([Fail_socket]),
     emptied ([Drop_rank]) or point-patched ([Perturb_task]).  Raises
-    [Invalid_argument] on an out-of-range rank/task/point or a
-    non-positive perturbed duration/power.  Because {!Scenario.digest}
+    [Invalid_argument] when {!check_edits} rejects the edits.  Because {!Scenario.digest}
     hashes frontiers, the edited scenario re-keys every cache stage, and
     an exact inverse edit restores the original key. *)
 
 val compile_edits : prepared -> domain_edit list -> Lp.Edit.t list
 (** The elementary LP edits a domain-edit list compiles to against this
     prepared model (rows/columns located by name, sequentially
-    re-resolved as the shape evolves).  Exposed for tests and
-    benchmarks; {!edit_prepared} calls it internally. *)
+    re-resolved as the shape evolves).  Raises [Invalid_argument] when
+    {!check_edits} rejects the edits.  Exposed for tests and
+    benchmarks. *)
 
 val prepared_problem : prepared -> Lp.Model.problem
 (** The prepared model's full compiled problem (the space {!compile_edits}
@@ -207,7 +216,9 @@ val edit_prepared :
     world (chainable: further caps via {!solve_prepared}, further edits
     via [edit_prepared]), and the final basis.  A warm basis is only
     usable when the handle was prepared with [~presolve:false] (the
-    basis must live in the full space); otherwise it is ignored. *)
+    basis must live in the full space); otherwise it is ignored.
+    Raises [Invalid_argument], before solving, when {!check_edits}
+    rejects the edits. *)
 
 val solve_refined :
   ?rounds:int ->

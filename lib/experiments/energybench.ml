@@ -1,13 +1,11 @@
-(** Energy-mode benchmark: the deadline sweep solved three ways —
+(** Energy-mode benchmark: the deadline sweep solved two ways —
 
     - {b cold}: a full build + presolve + phase-1/2 per deadline;
-    - {b warm}: one energy-mode {!Core.Event_lp.prepare}, bases threaded
-      deadline to deadline through RHS patching;
     - {b switch}: the makespan handle's optimal basis carried {e across
       the objective switch} ({!Core.Event_lp.switch_objective}) and then
       threaded down the deadlines — the cross-mode warm-start path.
 
-    Asserts every warm/switch objective agrees with the cold one to
+    Asserts every switch objective agrees with the cold one to
     1e-9 (alternate degenerate vertices share the optimal objective even
     when they disagree on vertex times), and at 32 ranks or more gates
     the per-deadline median speedup of the switch path at 2x over cold.
@@ -69,34 +67,6 @@ let cold_side (s : Common.setup) ~job_cap deadlines : side =
     stats = Lp.Stats.snapshot ();
   }
 
-let warm_side (s : Common.setup) ~job_cap deadlines : side =
-  Lp.Stats.reset ();
-  let d0 = List.hd deadlines in
-  let pz, setup_s =
-    time (fun () ->
-        Core.Event_lp.prepare
-          ~objective:(Core.Objective.Energy_under_deadline { deadline = d0 })
-          s.Common.sc ~power_cap:job_cap)
-  in
-  let prev = ref None in
-  let pairs =
-    List.map
-      (fun deadline ->
-        time (fun () ->
-            let o, b =
-              Core.Event_lp.solve_prepared_deadline ?warm:!prev pz ~deadline
-            in
-            (match b with Some _ -> prev := b | None -> ());
-            objective o))
-      deadlines
-  in
-  {
-    objs = List.map fst pairs;
-    walls = Array.of_list (List.map snd pairs);
-    setup_s;
-    stats = Lp.Stats.snapshot ();
-  }
-
 (* The cross-mode path: solve the makespan LP (full space, so the basis
    is mappable), switch the handle to the energy objective carrying the
    basis across the edit, then thread deadlines. *)
@@ -141,7 +111,7 @@ let speedups cold other =
       cold.walls.(i) /. Float.max 1e-9 other.walls.(i))
 
 let write_json ~path ~(config : Common.config) ~cap ~t_star ~deadlines ~cold
-    ~warm ~switch ~reclaimed_pct =
+    ~switch ~reclaimed_pct =
   Putil.Fileio.with_out path @@ fun oc ->
   let pf fmt = Printf.fprintf oc fmt in
   let side_json name (sd : side) =
@@ -158,7 +128,7 @@ let write_json ~path ~(config : Common.config) ~cap ~t_star ~deadlines ~cold
     pf "  }"
   in
   pf "{\n";
-  pf "  \"schema\": \"powerlim-energybench-v1\",\n";
+  pf "  \"schema\": \"powerlim-energybench-v2\",\n";
   pf "  \"ranks\": %d,\n" config.Common.nranks;
   pf "  \"iterations\": %d,\n" config.Common.iterations;
   pf "  \"cap_w_per_socket\": %g,\n" cap;
@@ -167,21 +137,16 @@ let write_json ~path ~(config : Common.config) ~cap ~t_star ~deadlines ~cold
     (String.concat ", " (List.map (Printf.sprintf "%.6f") deadlines));
   side_json "cold" cold;
   pf ",\n";
-  side_json "warm" warm;
-  pf ",\n";
   side_json "switch" switch;
   pf ",\n";
-  pf "  \"median_speedup_warm\": %.3f,\n" (median (speedups cold warm));
   pf "  \"median_speedup_switch\": %.3f,\n" (median (speedups cold switch));
-  pf "  \"max_rel_objective_diff_warm\": %.3e,\n"
-    (max_rel_diff cold.objs warm.objs);
   pf "  \"max_rel_objective_diff_switch\": %.3e,\n"
     (max_rel_diff cold.objs switch.objs);
   pf "  \"reclaimed_joules_pct\": %.3f\n" reclaimed_pct;
   pf "}\n"
 
 let run ?(config = Common.default_config) ppf =
-  Common.header ppf "Energy-mode benchmark (deadline sweep, cold/warm/switch)";
+  Common.header ppf "Energy-mode benchmark (deadline sweep, cold/switch)";
   let s = Common.make_setup config Workloads.Apps.CoMD in
   let cap = Energy.reference_cap Workloads.Apps.CoMD in
   let job_cap = cap *. Float.of_int config.Common.nranks in
@@ -202,7 +167,6 @@ let run ?(config = Common.default_config) ppf =
     List.map (fun m -> t_star *. m) (List.sort Float.compare Common.default_multipliers)
   in
   let cold = cold_side s ~job_cap deadlines in
-  let warm = warm_side s ~job_cap deadlines in
   let switch = switch_side s ~job_cap deadlines in
   let pp_side name (sd : side) =
     Fmt.pf ppf "  %-6s: %8.3f s (+%.3f s setup)  (%a)@." name (sum sd.walls)
@@ -211,26 +175,17 @@ let run ?(config = Common.default_config) ppf =
   Fmt.pf ppf "sweep (CoMD, %d ranks, %d deadlines at %.0f W/socket, T* %.4f s):@."
     config.Common.nranks (List.length deadlines) cap t_star;
   pp_side "cold" cold;
-  pp_side "warm" warm;
   pp_side "switch" switch;
-  let med_warm = median (speedups cold warm) in
   let med_switch = median (speedups cold switch) in
   Fmt.pf ppf
-    "  median per-deadline speedup: warm %.2fx, switch %.2fx; max objective \
-     diff warm %.1e, switch %.1e@."
-    med_warm med_switch
-    (max_rel_diff cold.objs warm.objs)
+    "  median per-deadline speedup: switch %.2fx; max objective diff %.1e@."
+    med_switch
     (max_rel_diff cold.objs switch.objs);
   let path = "BENCH_energy.json" in
-  write_json ~path ~config ~cap ~t_star ~deadlines ~cold ~warm ~switch
-    ~reclaimed_pct;
+  write_json ~path ~config ~cap ~t_star ~deadlines ~cold ~switch ~reclaimed_pct;
   Fmt.pf ppf "wrote %s@." path;
-  (* hard gates: warm starts must not change any objective; the
-     cross-mode path must actually pay off at cluster scale *)
-  let dw = max_rel_diff cold.objs warm.objs in
-  if dw > 1e-9 then
-    failwith
-      (Printf.sprintf "energybench: cold vs warm objectives differ (%g)" dw);
+  (* hard gates: the warm switch must not change any objective, and
+     it must actually pay off at cluster scale *)
   let ds = max_rel_diff cold.objs switch.objs in
   if ds > 1e-9 then
     failwith

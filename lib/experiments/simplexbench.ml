@@ -205,13 +205,7 @@ let with_env k v f =
   Fun.protect f ~finally:(fun () ->
       Unix.putenv k (Option.value saved ~default:""))
 
-(* The ladder times the monolithic solver on purpose (POWERLIM_DW=0):
-   its FT-vs-eta differential and the subquadratic growth gate measure
-   basis maintenance, which the decomposition would short-circuit at
-   the 512+ rungs where it engages by default.  The [decomp] section
-   below is where monolithic vs Dantzig–Wolfe is compared. *)
 let run_rung (config : Common.config) ranks : rung =
-  with_env "POWERLIM_DW" "0" @@ fun () ->
   let cfg =
     { config with Common.nranks = ranks; iterations = ladder_iters }
   in
@@ -260,53 +254,6 @@ let run_rung (config : Common.config) ranks : rung =
     r_obj_diff = max_objs_diff !objs eta_objs;
   }
 
-(* --- Dantzig–Wolfe decomposition ------------------------------------
-   One cold event-LP solve per rung with the decomposition forced off
-   and then forced on ([POWERLIM_DW] with [POWERLIM_DW_MIN_RANKS=1], so
-   small rungs engage too), timing both paths and snapshotting the DW
-   counters.  Hard gates: the objectives must agree to 1e-9 at every
-   rung, and at the full 1296-node Cab cluster the decomposition must
-   beat the monolithic solve outright. *)
-
-type decomp_run = {
-  d_ranks : int;
-  d_mono_s : float;  (** cold solve, POWERLIM_DW=0 *)
-  d_dw_s : float;  (** cold solve, decomposition forced on *)
-  d_obj_diff : float;  (** relative, nan-aware *)
-  d_iterations : int;
-  d_subproblems : int;
-  d_masters : int;
-  d_fallbacks : int;
-}
-
-let decomp_win_ranks = 1296
-
-let run_decomp (config : Common.config) ranks : decomp_run =
-  let cfg = { config with Common.nranks = ranks; iterations = ladder_iters } in
-  let s = Common.make_setup cfg Workloads.Apps.CoMD in
-  let caps = List.sort Float.compare cfg.Common.caps in
-  let nranks = Float.of_int ranks in
-  let tight = List.hd caps in
-  let solve () = Core.Event_lp.solve s.Common.sc ~power_cap:(tight *. nranks) in
-  let o_mono, mono_s = with_env "POWERLIM_DW" "0" (fun () -> time solve) in
-  Lp.Stats.reset ();
-  let (o_dw, dw_s), st =
-    with_env "POWERLIM_DW" "1" (fun () ->
-        with_env "POWERLIM_DW_MIN_RANKS" "1" (fun () ->
-            let r = time solve in
-            (r, Lp.Stats.snapshot ())))
-  in
-  {
-    d_ranks = ranks;
-    d_mono_s = mono_s;
-    d_dw_s = dw_s;
-    d_obj_diff = max_objs_diff [ objective o_mono ] [ objective o_dw ];
-    d_iterations = st.Lp.Stats.dw_iterations;
-    d_subproblems = st.Lp.Stats.dw_subproblem_solves;
-    d_masters = st.Lp.Stats.dw_master_resolves;
-    d_fallbacks = st.Lp.Stats.dw_crossover_fallbacks;
-  }
-
 (* Growth ratio between the top two rungs, when both ran. *)
 let ladder_growth (ladder : rung list) =
   match
@@ -316,11 +263,11 @@ let ladder_growth (ladder : rung list) =
   | Some a, Some b -> Some (b.r_cold_s /. a.r_cold_s)
   | _ -> None
 
-let write_json ~path ~(config : Common.config) ~caps ~ladder ~decomp results =
+let write_json ~path ~(config : Common.config) ~caps ~ladder results =
   Putil.Fileio.with_out path @@ fun oc ->
   let pf fmt = Printf.fprintf oc fmt in
   pf "{\n";
-  pf "  \"schema\": \"powerlim-simplexbench-v3\",\n";
+  pf "  \"schema\": \"powerlim-simplexbench-v4\",\n";
   pf "  \"ranks\": %d,\n" config.Common.nranks;
   pf "  \"iterations\": %d,\n" config.Common.iterations;
   pf "  \"caps_w\": [%s],\n"
@@ -374,23 +321,6 @@ let write_json ~path ~(config : Common.config) ~caps ~ladder ~decomp results =
       pf "      \"max_rel_objective_diff\": %.3e\n" r.r_obj_diff;
       pf "    }%s\n" (if i = nrungs - 1 then "" else ","))
     ladder;
-  pf "  ],\n";
-  pf "  \"decomp\": [\n";
-  let nd = List.length decomp in
-  List.iteri
-    (fun i d ->
-      pf "    {\n";
-      pf "      \"ranks\": %d,\n" d.d_ranks;
-      pf "      \"mono_cold_s\": %.6f,\n" d.d_mono_s;
-      pf "      \"dw_cold_s\": %.6f,\n" d.d_dw_s;
-      pf "      \"dw_speedup\": %.3f,\n" (d.d_mono_s /. d.d_dw_s);
-      pf "      \"max_rel_objective_diff\": %.3e,\n" d.d_obj_diff;
-      pf "      \"dw_iterations\": %d,\n" d.d_iterations;
-      pf "      \"dw_subproblem_solves\": %d,\n" d.d_subproblems;
-      pf "      \"dw_master_resolves\": %d,\n" d.d_masters;
-      pf "      \"dw_crossover_fallbacks\": %d\n" d.d_fallbacks;
-      pf "    }%s\n" (if i = nd - 1 then "" else ","))
-    decomp;
   pf "  ]%s\n"
     (match ladder_growth ladder with
     | None -> ""
@@ -450,24 +380,8 @@ let run ?(config = Common.default_config) ppf =
   (match ladder_growth ladder with
   | Some g -> Fmt.pf ppf "ladder cold-solve growth 1024/512: %.2fx@." g
   | None -> ());
-  let decomp =
-    List.filter_map
-      (fun ranks ->
-        if ranks > lmax then None
-        else begin
-          let d = run_decomp config ranks in
-          Fmt.pf ppf
-            "decomp %4d ranks: mono %8.3f s  dw %8.3f s (%.2fx)  obj diff \
-             %.1e  %d iters, %d subproblems, %d fallbacks@."
-            d.d_ranks d.d_mono_s d.d_dw_s
-            (d.d_mono_s /. d.d_dw_s)
-            d.d_obj_diff d.d_iterations d.d_subproblems d.d_fallbacks;
-          Some d
-        end)
-      ladder_rungs
-  in
   let path = "BENCH_simplex.json" in
-  write_json ~path ~config ~caps ~ladder ~decomp results;
+  write_json ~path ~config ~caps ~ladder results;
   Fmt.pf ppf "wrote %s@." path;
   (* hard gate: neither the sparse kernels nor devex pricing may move
      any optimal objective (alternate vertices are fine, values are not) *)
@@ -495,30 +409,11 @@ let run ?(config = Common.default_config) ppf =
               eta-file paths (%g)"
              r.r_ranks r.r_obj_diff))
     ladder;
-  (match ladder_growth ladder with
+  match ladder_growth ladder with
   | Some g when g >= growth_limit ->
       failwith
         (Printf.sprintf
            "simplexbench: cold-solve growth 1024/512 = %.2fx >= %.1fx \
             (superquadratic)"
            g growth_limit)
-  | _ -> ());
-  (* decomposition gates: exact agreement everywhere, and an outright
-     wall-clock win over the monolithic path at full cluster scale *)
-  List.iter
-    (fun d ->
-      if d.d_obj_diff > 1e-9 then
-        failwith
-          (Printf.sprintf
-             "simplexbench: decomp %d-rank objective differs from monolithic \
-              (%g)"
-             d.d_ranks d.d_obj_diff))
-    decomp;
-  match List.find_opt (fun d -> d.d_ranks = decomp_win_ranks) decomp with
-  | Some d when d.d_dw_s >= d.d_mono_s ->
-      failwith
-        (Printf.sprintf
-           "simplexbench: decomposition loses to the monolithic solver at %d \
-            ranks (%.3f s vs %.3f s)"
-           decomp_win_ranks d.d_dw_s d.d_mono_s)
   | _ -> ()

@@ -412,7 +412,7 @@ let fixed_objective (p : Model.problem) (r : reduction) =
     {!Revised.make_analysis} of the {e reduced} problem, reusable
     because bound/RHS-only re-solves never change the reduced matrix. *)
 let solve_reduction ?max_iter ?feas_tol ?opt_tol ?rhs ?warm ?analysis ?bands
-    ?structure (p : Model.problem) (r : reduction) : Revised.result =
+    (p : Model.problem) (r : reduction) : Revised.result =
   (* Staircase bands arrive in the original space; surviving columns
      and rows keep their stage index. *)
   let red_bands =
@@ -435,37 +435,9 @@ let solve_reduction ?max_iter ?feas_tol ?opt_tol ?rhs ?warm ?analysis ?bands
           r.kept_rows;
         Some b
   in
-  (* Block structure maps through the reduction like the bands do:
-     surviving columns keep their block tag, guard rows their index.
-     The pricing box is widened by the worst column downscaling so a
-     scaled column can still reach its original-unit bound. *)
-  let red_structure =
-    match structure with
-    | None -> None
-    | Some s ->
-        let row_pos = Array.make p.Model.nr (-1) in
-        Array.iteri (fun k i -> row_pos.(i) <- k) r.kept_rows;
-        let inv_scale =
-          Array.fold_left
-            (fun m c -> Float.max m (1.0 /. c))
-            1.0 r.col_scale
-        in
-        Some
-          {
-            s with
-            Decomp.col_block =
-              Array.map (fun j -> s.Decomp.col_block.(j)) r.keep_vars;
-            box = s.Decomp.box *. inv_scale;
-            guard_rows =
-              Array.to_list s.Decomp.guard_rows
-              |> List.filter_map (fun i ->
-                     if row_pos.(i) >= 0 then Some row_pos.(i) else None)
-              |> Array.of_list;
-          }
-  in
   let res =
-    Decomp.solve ?max_iter ?feas_tol ?opt_tol ?rhs:red_rhs ?warm ?analysis
-      ?bands:red_bands ?structure:red_structure r.problem
+    Revised.solve ?max_iter ?feas_tol ?opt_tol ?rhs:red_rhs ?warm ?analysis
+      ?bands:red_bands r.problem
   in
   let x =
     match res.Revised.status with

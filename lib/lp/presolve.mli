@@ -50,7 +50,6 @@ val solve_reduction :
   ?warm:Revised.basis ->
   ?analysis:Revised.analysis ->
   ?bands:int array * int array ->
-  ?structure:Decomp.structure ->
   Model.problem ->
   reduction ->
   Revised.result
@@ -65,11 +64,7 @@ val solve_reduction :
     valid across bound/RHS-only re-solves).  [bands] is an
     {e original-space} [(col_bands, row_bands)] staircase-stage pair
     (see {!Revised.solve}); surviving columns and rows keep their
-    stage index through the reduction.  [structure] is an
-    {e original-space} {!Decomp.structure}; surviving columns keep their
-    block tag and the reduced solve is routed through {!Decomp.solve}
-    (which engages Dantzig–Wolfe only on cold solves of large-enough
-    instances and is otherwise exactly {!Revised.solve}). *)
+    stage index through the reduction. *)
 
 val solve :
   ?max_iter:int -> ?feas_tol:float -> ?opt_tol:float -> Model.problem ->

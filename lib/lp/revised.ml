@@ -153,8 +153,7 @@ let solve_unconstrained (p : Model.problem) lo hi =
   }
 
 let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
-    ?rhs ?warm ?(warm_primal = false) ?analysis ?bands (p : Model.problem) :
-    result =
+    ?rhs ?warm ?analysis ?bands (p : Model.problem) : result =
   let t_solve0 = Unix.gettimeofday () in
   let nv = p.nv and m = p.nr in
   let eta_max = eta_limit () in
@@ -1721,47 +1720,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           end
       | Some _ ->
           Array.blit p.obj 0 cost 0 nv;
-          let primal_viol () =
-            let v = ref 0.0 in
-            for k = 0 to m - 1 do
-              let b = basis.(k) in
-              if lo.(b) -. x_basic.(k) > !v then v := lo.(b) -. x_basic.(k);
-              if x_basic.(k) -. hi.(b) > !v then v := x_basic.(k) -. hi.(b)
-            done;
-            !v
-          in
-          let finish_primal () =
-            (* The dual loop (or the repair alone) reached a primal-feasible
-               point; a primal phase-2 run from here certifies optimality
-               and cleans up any tolerance-level dual infeasibility left by
-               the status repair. *)
-            bland := false;
-            degen := 0;
-            match run_phase () with
-            | `Phase_done -> ()
-            | `Unbounded -> status := Unbounded
-            | `Iter_limit -> status := Iter_limit
-            | `Run -> assert false
-          in
-          (* Primal-first warm start: when the caller knows the basis is
-             primal feasible for the new problem (column generation: the
-             objective and bounds are unchanged, only columns were added
-             at their lower bound), entering phase 2 directly lets the
-             primal pick among the new columns selectively.  The default
-             dual-feasibility repair would instead flip every fresh
-             negative-reduced-cost column to its opposite bound and then
-             grind the resulting primal infeasibility back out with dual
-             pivots — a storm of busywork proportional to the number of
-             appended columns. *)
-          let primal_ready =
-            warm_primal
-            && begin
-                 recompute_x_basic ();
-                 primal_viol () <= feas_tol
-               end
-          in
-          if primal_ready then finish_primal ()
-          else begin
           (* Dual-feasibility repair: a boxed nonbasic sitting at the wrong
              bound for its reduced-cost sign is flipped to the other bound;
              a non-boxed one with the wrong sign cannot be repaired without
@@ -1797,6 +1755,28 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             end
           done;
           recompute_x_basic ();
+          let primal_viol () =
+            let v = ref 0.0 in
+            for k = 0 to m - 1 do
+              let b = basis.(k) in
+              if lo.(b) -. x_basic.(k) > !v then v := lo.(b) -. x_basic.(k);
+              if x_basic.(k) -. hi.(b) > !v then v := x_basic.(k) -. hi.(b)
+            done;
+            !v
+          in
+          let finish_primal () =
+            (* The dual loop (or the repair alone) reached a primal-feasible
+               point; a primal phase-2 run from here certifies optimality
+               and cleans up any tolerance-level dual infeasibility left by
+               the status repair. *)
+            bland := false;
+            degen := 0;
+            match run_phase () with
+            | `Phase_done -> ()
+            | `Unbounded -> status := Unbounded
+            | `Iter_limit -> status := Iter_limit
+            | `Run -> assert false
+          in
           if primal_viol () <= feas_tol then finish_primal ()
           else begin
             (* Dual-degenerate warm bases — many nonbasic reduced costs
@@ -1831,7 +1811,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                   Printf.eprintf "LP_STATS: fallback dual numerical\n%!";
                 raise Warm_fallback
             | `Run -> assert false
-          end
           end);
       (* --- extraction --------------------------------------------------- *)
       (* The reported solution must depend only on the final basis, never
@@ -1933,8 +1912,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             attempt None)
   end
 
-let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?warm_primal
-    ?analysis ?bands (p : Model.problem) : result =
+let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis ?bands
+    (p : Model.problem) : result =
   Putil.Obs.span ~cat:"lp"
     ~args:
       [
@@ -1944,5 +1923,5 @@ let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?warm_primal
       ]
     "revised.solve"
     (fun () ->
-      solve_impl ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?warm_primal
-        ?analysis ?bands p)
+      solve_impl ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis
+        ?bands p)

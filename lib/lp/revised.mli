@@ -79,7 +79,6 @@ val solve :
   ?ub:float array ->
   ?rhs:float array ->
   ?warm:basis ->
-  ?warm_primal:bool ->
   ?analysis:analysis ->
   ?bands:int array * int array ->
   Model.problem ->
@@ -90,12 +89,7 @@ val solve :
     from a previous solve of the same problem shape ([nv]/[nr]
     unchanged); it is repaired against the current bounds and re-solved
     with the dual simplex, falling back to a cold solve when repair is
-    impossible.  [warm_primal] (default [false]) asserts the warm basis
-    is primal feasible for the new data (column generation: new columns
-    enter nonbasic at bound, objective and bounds otherwise unchanged),
-    skipping the dual-feasibility bound-flip repair in favour of a
-    direct primal phase-2 run; when the basis turns out primal
-    infeasible the normal repair path runs instead.  [analysis] reuses a {!make_analysis} of [p] (matrix
+    impossible.  [analysis] reuses a {!make_analysis} of [p] (matrix
     unchanged) instead of rebuilding it per solve.  [bands] is a
     [(col_bands, row_bands)] pair of staircase stage indices (lengths
     [nv] and [nr]); every factorization orders the basis band-major

@@ -40,13 +40,6 @@ type snapshot = {
   reclaimed_joules_pct : float;
       (** energy reclaimed by the slack passes, as a percentage of the
           energy of the schedules they ran on (process aggregate) *)
-  dw_iterations : int;  (** Dantzig–Wolfe master iterations *)
-  dw_subproblem_solves : int;  (** per-block pricing LP solves *)
-  dw_master_resolves : int;  (** restricted-master LP solves *)
-  dw_crossover_fallbacks : int;
-      (** decompositions abandoned for the monolithic solver (master or
-          subproblem trouble, stuck artificials, certification failure,
-          or the all-slack coupling-dual degeneracy guard) *)
   wall_s : float;  (** summed wall time inside {!Revised.solve} *)
 }
 
@@ -71,10 +64,6 @@ let scale_passes = Atomic.make 0
 let small_dense_solves = Atomic.make 0
 let obj_mode_switches = Atomic.make 0
 let reclaim_passes = Atomic.make 0
-let dw_iterations = Atomic.make 0
-let dw_subproblem_solves = Atomic.make 0
-let dw_master_resolves = Atomic.make 0
-let dw_crossover_fallbacks = Atomic.make 0
 let wall_ns = Atomic.make 0
 
 (* Float max over pool domains: CAS retry loop.  [compare_and_set]
@@ -121,10 +110,6 @@ let reset () =
       small_dense_solves;
       obj_mode_switches;
       reclaim_passes;
-      dw_iterations;
-      dw_subproblem_solves;
-      dw_master_resolves;
-      dw_crossover_fallbacks;
       wall_ns;
     ];
   Atomic.set fill_ratio_max_a 0.0;
@@ -163,16 +148,6 @@ let note_ft ~updates ~fill_max ~small_dense =
   note_fill_ratio fill_max
 
 let note_scale_pass () = ignore (Atomic.fetch_and_add scale_passes 1)
-let note_dw_iteration () = ignore (Atomic.fetch_and_add dw_iterations 1)
-
-let note_dw_subproblem () =
-  ignore (Atomic.fetch_and_add dw_subproblem_solves 1)
-
-let note_dw_master () = ignore (Atomic.fetch_and_add dw_master_resolves 1)
-
-let note_dw_crossover_fallback () =
-  ignore (Atomic.fetch_and_add dw_crossover_fallbacks 1)
-
 let note_mode_switch () = ignore (Atomic.fetch_and_add obj_mode_switches 1)
 
 let note_reclaim ~base_j ~reclaimed_j =
@@ -211,10 +186,6 @@ let snapshot () =
     small_dense_solves = Atomic.get small_dense_solves;
     obj_mode_switches = Atomic.get obj_mode_switches;
     reclaim_passes = Atomic.get reclaim_passes;
-    dw_iterations = Atomic.get dw_iterations;
-    dw_subproblem_solves = Atomic.get dw_subproblem_solves;
-    dw_master_resolves = Atomic.get dw_master_resolves;
-    dw_crossover_fallbacks = Atomic.get dw_crossover_fallbacks;
     reclaimed_joules_pct =
       (let base = Atomic.get reclaim_base_j_a in
        if base > 0.0 then 100.0 *. Atomic.get reclaimed_j_a /. base else 0.0);
@@ -254,10 +225,6 @@ let () =
           ("obj_mode_switches", Putil.Obs.Int s.obj_mode_switches);
           ("reclaim_passes", Putil.Obs.Int s.reclaim_passes);
           ("reclaimed_joules_pct", Putil.Obs.Float s.reclaimed_joules_pct);
-          ("dw_iterations", Putil.Obs.Int s.dw_iterations);
-          ("dw_subproblem_solves", Putil.Obs.Int s.dw_subproblem_solves);
-          ("dw_master_resolves", Putil.Obs.Int s.dw_master_resolves);
-          ("dw_crossover_fallbacks", Putil.Obs.Int s.dw_crossover_fallbacks);
           ("wall_s", Putil.Obs.Float s.wall_s);
         ])
 
@@ -266,8 +233,4 @@ let pp ppf (s : snapshot) =
     "%d solves (%d cold, %d warm, %d fallbacks), %d pivots (%d primal, %d \
      dual, %d flips), %d factorizations, %.3f s"
     s.solves s.cold_solves s.warm_solves s.warm_fallbacks s.pivots
-    s.primal_pivots s.dual_pivots s.bound_flips s.factorizations s.wall_s;
-  if s.dw_iterations > 0 || s.dw_crossover_fallbacks > 0 then
-    Fmt.pf ppf ", dw: %d iters (%d subproblems, %d masters, %d fallbacks)"
-      s.dw_iterations s.dw_subproblem_solves s.dw_master_resolves
-      s.dw_crossover_fallbacks
+    s.primal_pivots s.dual_pivots s.bound_flips s.factorizations s.wall_s

@@ -45,15 +45,6 @@ type snapshot = {
   reclaimed_joules_pct : float;
       (** energy the slack passes reclaimed, as a percentage of the
           energy of the schedules they ran on (process aggregate) *)
-  dw_iterations : int;
-      (** Dantzig–Wolfe master iterations ({!Decomp.solve}) *)
-  dw_subproblem_solves : int;
-      (** per-block pricing LP solves across all decompositions *)
-  dw_master_resolves : int;  (** restricted-master LP solves *)
-  dw_crossover_fallbacks : int;
-      (** decompositions abandoned for the monolithic solver (master or
-          subproblem trouble, stuck artificials, certification failure,
-          or the all-slack coupling-dual degeneracy guard) *)
   wall_s : float;  (** summed wall time inside {!Revised.solve} *)
 }
 
@@ -98,18 +89,6 @@ val note_ft : updates:int -> fill_max:float -> small_dense:int -> unit
 
 val note_scale_pass : unit -> unit
 (** Count one equilibration pass (called by {!Presolve}). *)
-
-val note_dw_iteration : unit -> unit
-(** Count one Dantzig–Wolfe master iteration (called by {!Decomp}). *)
-
-val note_dw_subproblem : unit -> unit
-(** Count one pricing-subproblem solve. *)
-
-val note_dw_master : unit -> unit
-(** Count one restricted-master re-solve. *)
-
-val note_dw_crossover_fallback : unit -> unit
-(** Count one decomposition abandoned for the monolithic solver. *)
 
 val note_mode_switch : unit -> unit
 (** Count one objective-mode switch of a prepared event LP. *)

@@ -84,13 +84,6 @@ let prepare_key ?(reduce_slack = true) ?(presolve = true)
   Putil.Hashing.bool h presolve;
   Putil.Hashing.float h power_cap;
   Core.Objective.digest_fold h objective;
-  (* Solver-strategy knobs participate in the content key: the
-     decomposition is certified byte-compatible with the monolithic
-     path, but a cached artifact must never outlive the solver
-     configuration that produced it. *)
-  Putil.Hashing.bool h (Lp.Decomp.dw_enabled ());
-  Putil.Hashing.int h (Lp.Decomp.dw_min_ranks ());
-  Putil.Hashing.float h (Lp.Decomp.dw_gap ());
   Key.v ~stage:"prepare" h
 
 let prepare_cache : Core.Event_lp.prepared Putil.Cache.t =

@@ -98,8 +98,7 @@ let stats_payload t =
                Assoc [ ("name", String name); ("value", String value) ])
              (Putil.Env.rejected ())) );
       (* the unified provider registry (lp / cache / pool / ...), so a
-         live daemon exposes the same counters as [--stats-json] —
-         including the solver's [dw_*] decomposition counters *)
+         live daemon exposes the same counters as [--stats-json] *)
       ("providers", Putil.Obs.stats_json ());
     ]
 

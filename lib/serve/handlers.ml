@@ -138,50 +138,52 @@ let what_if ~app ~ranks ~iters ~seed ~cap ~edits () =
   in
   let sc = Pipeline.Stages.scenario (Pipeline.Stages.Synthetic (app, params)) in
   let job_cap = cap *. Float.of_int ranks in
-  if edits = [] then begin
-    Fmt.pf err
-      "what-if: no edits given (use --fail-socket, --drop-rank and/or \
-       --perturb-task)@.";
-    2
-  end
-  else begin
-    (* The prepared handle must keep the full column space
-       (~presolve:false) so the base optimal basis can be mapped across
-       the structural edits. *)
-    let pz = Pipeline.Stages.prepare ~presolve:false sc ~power_cap:job_cap in
-    let base, basis = Core.Event_lp.solve_prepared pz ~power_cap:job_cap in
-    (match base with
-    | Core.Event_lp.Schedule s ->
-        Fmt.pf out "baseline : %.4f s at %.0f W (%.0f W x %d sockets)@."
-          s.Core.Event_lp.objective job_cap cap ranks
-    | Core.Event_lp.Infeasible -> Fmt.pf out "baseline : infeasible@."
-    | Core.Event_lp.Solver_failure m ->
-        Fmt.pf out "baseline : solver failure: %s@." m);
-    List.iter
-      (fun e -> Fmt.pf out "edit     : %a@." Core.Event_lp.pp_domain_edit e)
-      edits;
-    (* POWERLIM_WARM=0 forces the cold path; the incremental re-solve is
-       exact (cold fallback on any ill-conditioned basis mapping), so
-       stdout is byte-identical either way. *)
-    let warm = if Experiments.Common.warm_default () then basis else None in
-    (match Core.Event_lp.edit_prepared ?warm pz edits with
-    | Core.Event_lp.Schedule s, _, _ ->
-        Fmt.pf out "what-if  : %.4f s (LP: %d rows, %d cols)@."
-          s.Core.Event_lp.objective s.Core.Event_lp.stats.Core.Event_lp.rows
-          s.Core.Event_lp.stats.Core.Event_lp.cols;
-        (* pivot counts differ between the incremental and cold paths;
-           keep them off stdout so POWERLIM_WARM never changes output *)
-        Fmt.pf err "what-if: %d simplex iterations@."
-          s.Core.Event_lp.stats.Core.Event_lp.iterations;
-        (match base with
-        | Core.Event_lp.Schedule b ->
-            let d = s.Core.Event_lp.objective -. b.Core.Event_lp.objective in
-            Fmt.pf out "delta    : %+.4f s (%+.2f%%)@." d
-              (100.0 *. d /. b.Core.Event_lp.objective)
-        | _ -> ())
-    | Core.Event_lp.Infeasible, _, _ ->
-        Fmt.pf out "what-if  : infeasible under the edited scenario@."
-    | Core.Event_lp.Solver_failure m, _, _ ->
-        Fmt.pf out "what-if  : solver failure: %s@." m);
-    0
-  end
+  match (edits, Core.Event_lp.check_edits sc edits) with
+  | [], _ ->
+      Fmt.pf err
+        "what-if: no edits given (use --fail-socket, --drop-rank and/or \
+         --perturb-task)@.";
+      2
+  | _, Error msg ->
+      Fmt.pf err "what-if: %s@." msg;
+      2
+  | _, Ok () ->
+      (* The prepared handle must keep the full column space
+         (~presolve:false) so the base optimal basis can be mapped across
+         the structural edits. *)
+      let pz = Pipeline.Stages.prepare ~presolve:false sc ~power_cap:job_cap in
+      let base, basis = Core.Event_lp.solve_prepared pz ~power_cap:job_cap in
+      (match base with
+      | Core.Event_lp.Schedule s ->
+          Fmt.pf out "baseline : %.4f s at %.0f W (%.0f W x %d sockets)@."
+            s.Core.Event_lp.objective job_cap cap ranks
+      | Core.Event_lp.Infeasible -> Fmt.pf out "baseline : infeasible@."
+      | Core.Event_lp.Solver_failure m ->
+          Fmt.pf out "baseline : solver failure: %s@." m);
+      List.iter
+        (fun e -> Fmt.pf out "edit     : %a@." Core.Event_lp.pp_domain_edit e)
+        edits;
+      (* POWERLIM_WARM=0 forces the cold path; the incremental re-solve is
+         exact (cold fallback on any ill-conditioned basis mapping), so
+         stdout is byte-identical either way. *)
+      let warm = if Experiments.Common.warm_default () then basis else None in
+      (match Core.Event_lp.edit_prepared ?warm pz edits with
+      | Core.Event_lp.Schedule s, _, _ ->
+          Fmt.pf out "what-if  : %.4f s (LP: %d rows, %d cols)@."
+            s.Core.Event_lp.objective s.Core.Event_lp.stats.Core.Event_lp.rows
+            s.Core.Event_lp.stats.Core.Event_lp.cols;
+          (* pivot counts differ between the incremental and cold paths;
+             keep them off stdout so POWERLIM_WARM never changes output *)
+          Fmt.pf err "what-if: %d simplex iterations@."
+            s.Core.Event_lp.stats.Core.Event_lp.iterations;
+          (match base with
+          | Core.Event_lp.Schedule b ->
+              let d = s.Core.Event_lp.objective -. b.Core.Event_lp.objective in
+              Fmt.pf out "delta    : %+.4f s (%+.2f%%)@." d
+                (100.0 *. d /. b.Core.Event_lp.objective)
+          | _ -> ())
+      | Core.Event_lp.Infeasible, _, _ ->
+          Fmt.pf out "what-if  : infeasible under the edited scenario@."
+      | Core.Event_lp.Solver_failure m, _, _ ->
+          Fmt.pf out "what-if  : solver failure: %s@." m);
+      0

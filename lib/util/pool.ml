@@ -120,9 +120,12 @@ type t = {
 let ctx_key : (t * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* Any integer is a valid request: negative sizes clamp to sequential,
+   like [create ~size]; only unparseable values warn and fall back. *)
 let default_size () =
-  Env.int ~lo:0 "POWERLIM_JOBS"
-    ~default:(max 0 (Domain.recommended_domain_count () - 1))
+  max 0
+    (Env.int "POWERLIM_JOBS"
+       ~default:(Domain.recommended_domain_count () - 1))
 
 let size pool = pool.workers
 let parallelism pool = max 1 pool.workers

@@ -1858,149 +1858,6 @@ let prop_edit_maps_names =
         rmap;
       !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Dantzig–Wolfe decomposition                                        *)
-(* ------------------------------------------------------------------ *)
-
-let dw_env = [ ("POWERLIM_DW", "1", "1"); ("POWERLIM_DW_MIN_RANKS", "2", "512") ]
-
-(* Random block-angular LP plus its block tagging: K blocks of boxed
-   non-negative columns with a private blend row each (and sometimes a
-   second private row), a few shared columns, and coupling rows over
-   everything.  Some draws are deliberately infeasible (a coupling row
-   no non-negative point can reach), unbounded (an uncapped
-   negative-cost shared column) or degenerate (zero coupling RHS), so
-   the oracle exercises every status the decomposition can meet. *)
-let random_block_angular rng =
-  let nb = 2 + QCheck.Gen.int_bound 4 rng in
-  let mode = QCheck.Gen.int_bound 9 rng in
-  (* 0 = infeasible twist, 1 = unbounded twist, 2 = degenerate rhs *)
-  let m = Lp.Model.create () in
-  let tags = ref [] in
-  let add_var ~block ~lb ~ub ~obj name =
-    tags := block :: !tags;
-    Lp.Model.add_var m ~lb ~ub ~obj name
-  in
-  let nshared = QCheck.Gen.int_bound 2 rng + if mode = 1 then 1 else 0 in
-  let shared =
-    Array.init nshared (fun j ->
-        let unbounded = mode = 1 && j = 0 in
-        add_var ~block:(-1) ~lb:0.0
-          ~ub:
-            (if unbounded then Float.infinity
-             else QCheck.Gen.float_range 1.0 5.0 rng)
-          ~obj:
-            (if unbounded then -1.0 -. QCheck.Gen.float_bound_inclusive 2.0 rng
-             else QCheck.Gen.float_range (-2.0) 2.0 rng)
-          (Printf.sprintf "s%d" j))
-  in
-  let blocks =
-    Array.init nb (fun b ->
-        let nk = 1 + QCheck.Gen.int_bound 3 rng in
-        let cols =
-          Array.init nk (fun j ->
-              add_var ~block:b ~lb:0.0
-                ~ub:
-                  (if QCheck.Gen.bool rng then Float.infinity
-                   else QCheck.Gen.float_range 0.5 4.0 rng)
-                ~obj:(QCheck.Gen.float_range (-3.0) 3.0 rng)
-                (Printf.sprintf "b%dx%d" b j))
-        in
-        let terms =
-          Array.to_list
-            (Array.map
-               (fun v -> (QCheck.Gen.float_range 0.5 2.0 rng, v))
-               cols)
-        in
-        let sense =
-          match QCheck.Gen.int_bound 2 rng with
-          | 0 -> Lp.Model.Le
-          | 1 -> Lp.Model.Ge
-          | _ -> Lp.Model.Eq
-        in
-        let rhs =
-          if mode = 2 then 0.0 else QCheck.Gen.float_range 0.5 3.0 rng
-        in
-        Lp.Model.add_constr m terms sense rhs;
-        if QCheck.Gen.bool rng then
-          Lp.Model.add_constr m terms Lp.Model.Le
-            (rhs +. QCheck.Gen.float_range 0.5 3.0 rng);
-        cols)
-  in
-  let everything =
-    Array.to_list shared @ List.concat_map Array.to_list (Array.to_list blocks)
-  in
-  let ncoup = 1 + QCheck.Gen.int_bound 2 rng in
-  for c = 0 to ncoup - 1 do
-    let terms =
-      List.filter_map
-        (fun v ->
-          if QCheck.Gen.float_bound_inclusive 1.0 rng < 0.6 then
-            Some (QCheck.Gen.float_range 0.2 2.0 rng, v)
-          else None)
-        everything
-    in
-    if terms <> [] then
-      if mode = 0 && c = 0 then
-        (* non-negative combination of non-negative columns below -1 *)
-        Lp.Model.add_constr m terms Lp.Model.Le (-1.0)
-      else
-        Lp.Model.add_constr m terms Lp.Model.Le
-          (2.0 +. QCheck.Gen.float_bound_inclusive 8.0 rng)
-  done;
-  let p = Lp.Model.compile m in
-  let col_block = Array.of_list (List.rev !tags) in
-  (p, Lp.Decomp.structure ~box:1e6 ~nblocks:nb col_block)
-
-let prop_dw_differential =
-  QCheck.Test.make ~count:200 ~name:"decomposition matches monolithic"
-    QCheck.(make random_block_angular)
-    (fun (p, structure) ->
-      with_env dw_env (fun () ->
-          if not (Lp.Decomp.engaged structure p) then
-            QCheck.Test.fail_report "decomposition did not engage";
-          let rd = Lp.Decomp.solve ~structure p in
-          let rm = Lp.Revised.solve p in
-          match (rd.Lp.Revised.status, rm.Lp.Revised.status) with
-          | Lp.Revised.Optimal, Lp.Revised.Optimal ->
-              if not (Lp.Model.feasible ~tol:1e-6 p rd.Lp.Revised.x) then
-                QCheck.Test.fail_report "decomposed solution infeasible"
-              else if
-                Float.abs (rd.Lp.Revised.objective -. rm.Lp.Revised.objective)
-                > 1e-9 *. (1.0 +. Float.abs rm.Lp.Revised.objective)
-              then
-                QCheck.Test.fail_reportf
-                  "objectives differ: decomposed %.17g monolithic %.17g"
-                  rd.Lp.Revised.objective rm.Lp.Revised.objective
-              else true
-          | sd, sm when sd = sm -> true
-          | sd, sm ->
-              QCheck.Test.fail_reportf "status mismatch: decomposed %s monolithic %s"
-                (Fmt.str "%a" Lp.Revised.pp_status sd)
-                (Fmt.str "%a" Lp.Revised.pp_status sm)))
-
-(* The decomposition never engages on warm or bound-overridden calls,
-   off-switch, or sub-threshold block counts: the result record must be
-   indistinguishable from a direct Revised.solve. *)
-let test_dw_disengaged () =
-  let (p, structure) =
-    random_block_angular (Random.State.make [| 42 |])
-  in
-  with_env [ ("POWERLIM_DW", "0", "1") ] (fun () ->
-      Alcotest.(check bool) "off switch disengages" false
-        (Lp.Decomp.engaged structure p));
-  with_env
-    [ ("POWERLIM_DW", "1", "1"); ("POWERLIM_DW_MIN_RANKS", "64", "512") ]
-    (fun () ->
-      Alcotest.(check bool) "threshold disengages" false
-        (Lp.Decomp.engaged structure p);
-      let rd = Lp.Decomp.solve ~structure p in
-      let rm = Lp.Revised.solve p in
-      Alcotest.(check bool) "bitwise-identical x" true
-        (Array.for_all2
-           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-           rd.Lp.Revised.x rm.Lp.Revised.x))
-
 let suite =
   [
     ( "lp.sparse",
@@ -2098,12 +1955,6 @@ let suite =
       [
         Alcotest.test_case "rhs re-solve" `Quick test_warm_rhs_resolve;
         QCheck_alcotest.to_alcotest prop_warm_resolve;
-      ] );
-    ( "lp.decomp",
-      [
-        QCheck_alcotest.to_alcotest prop_dw_differential;
-        Alcotest.test_case "disengaged paths identical" `Quick
-          test_dw_disengaged;
       ] );
     ( "lp.edit",
       [

@@ -263,7 +263,35 @@ let test_daemon_byte_identity_and_tiers () =
               Alcotest.(check string) "repeat hits memory" "mem"
                 (str_exn "cached" r2);
               Alcotest.(check string) "memory tier returns equal bytes"
-                (str_exn "output" r1) (str_exn "output" r2));
+                (str_exn "output" r1) (str_exn "output" r2);
+              (* an invalid edit (BT task 4 does no work) is refused
+                 exactly as the CLI refuses it: status 2, one stderr
+                 line, nothing on stdout *)
+              let bad =
+                Serve.Handlers.what_if ~app:Workloads.Apps.BT ~ranks:4
+                  ~iters:2 ~seed:42 ~cap:40.0
+                  ~edits:
+                    [
+                      Core.Event_lp.Perturb_task
+                        { tid = 4; point = 0; duration = 0.1; power = 50.0 };
+                    ]
+                  ()
+              in
+              Alcotest.(check int) "bad edit exits 2" 2
+                bad.Serve.Handlers.status;
+              let rb =
+                Serve.Client.request c
+                  (Serve.Json.of_string
+                     "{\"op\":\"what-if\",\"app\":\"bt\",\"ranks\":4,\
+                      \"iters\":2,\"cap\":40,\"perturb_tasks\":[{\"tid\":4,\
+                      \"point\":0,\"duration\":0.1,\"power\":50}]}")
+              in
+              Alcotest.(check string) "bad edit: served stdout = CLI stdout"
+                bad.Serve.Handlers.out (str_exn "output" rb);
+              Alcotest.(check string) "bad edit: served stderr = CLI stderr"
+                bad.Serve.Handlers.err (str_exn "err" rb);
+              Alcotest.(check bool) "bad edit: status echoed" true
+                (get_exn "status" rb = Putil.Obs.Int 2));
           (* daemon 2, same store root, cold caches: the disk tier must
              revive the response computed by daemon 1 *)
           Putil.Cache.clear_all ();
