@@ -9,11 +9,29 @@
 
 open Cmdliner
 
+(* Scenario parameters are range-checked where they are parsed, so an
+   out-of-range value is a usage error (exit 124), like an unparseable
+   one, instead of an exception or a nonsense report. *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let count = checked Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+
+(* [not (x > 0)] also rejects NaN. *)
+let positive = checked Arg.float ~expected:"a number > 0" (fun x -> x > 0.0)
+
 let ranks_t =
-  Arg.(value & opt int 16 & info [ "ranks" ] ~docv:"N" ~doc:"Number of MPI ranks (= sockets).")
+  Arg.(value & opt count 16 & info [ "ranks" ] ~docv:"N" ~doc:"Number of MPI ranks (= sockets).")
 
 let iters_t =
-  Arg.(value & opt int 10 & info [ "iters" ] ~docv:"N" ~doc:"Application iterations.")
+  Arg.(value & opt count 10 & info [ "iters" ] ~docv:"N" ~doc:"Application iterations.")
 
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Workload random seed.")
@@ -30,7 +48,7 @@ let app_t =
          ~doc:"Benchmark: comd, lulesh, sp or bt.")
 
 let cap_t =
-  Arg.(value & opt float 40.0 & info [ "cap" ] ~docv:"W"
+  Arg.(value & opt positive 40.0 & info [ "cap" ] ~docv:"W"
          ~doc:"Average power cap per processor socket, watts.")
 
 let discrete_t =
@@ -216,7 +234,7 @@ let flow_cmd =
     | Core.Flow_ilp.Solver_failure m -> Fmt.pr "flow ILP: %s@." m
   in
   let cap_t =
-    Arg.(value & opt float 60.0 & info [ "cap" ] ~docv:"W"
+    Arg.(value & opt positive 60.0 & info [ "cap" ] ~docv:"W"
            ~doc:"Total job power cap, watts.")
   in
   Cmd.v (Cmd.info "flow" ~doc:"Compare the flow ILP and the fixed-order LP on the 2-rank exchange.")
@@ -391,7 +409,7 @@ let energy_cmd =
       (Serve.Handlers.energy ~app ~ranks ~iters ~seed ~cap ~deadline ())
   in
   let deadline_t =
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S"
+    Arg.(value & opt (some positive) None & info [ "deadline" ] ~docv:"S"
            ~doc:"Absolute deadline, seconds.  When omitted, sweep the \
                  energy objective over deadlines at multiples of the \
                  makespan bound T* and report replay plus slack \

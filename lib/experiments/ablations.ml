@@ -16,7 +16,7 @@
       versus an imbalanced (BT) application — the thrash trade-off of
       Section 6.4. *)
 
-let solve_span setup job_cap ~mode ~reduce_slack =
+let solve_and_replay setup job_cap ~mode ~reduce_slack =
   match
     Core.Event_lp.solve ~mode ~reduce_slack setup.Common.sc ~power_cap:job_cap
   with
@@ -35,9 +35,9 @@ let continuous_vs_discrete config ppf =
         (fun cap ->
           let job_cap = cap *. Float.of_int config.Common.nranks in
           match
-            ( solve_span setup job_cap ~mode:Core.Event_lp.Continuous
+            ( solve_and_replay setup job_cap ~mode:Core.Event_lp.Continuous
                 ~reduce_slack:true,
-              solve_span setup job_cap ~mode:Core.Event_lp.Discrete_rounded
+              solve_and_replay setup job_cap ~mode:Core.Event_lp.Discrete_rounded
                 ~reduce_slack:true )
           with
           | Some (cont, _), Some (_, vd) ->
@@ -65,9 +65,9 @@ let slack_reduction config ppf =
         (fun cap ->
           let job_cap = cap *. Float.of_int config.Common.nranks in
           match
-            ( solve_span setup job_cap ~mode:Core.Event_lp.Continuous
+            ( solve_and_replay setup job_cap ~mode:Core.Event_lp.Continuous
                 ~reduce_slack:true,
-              solve_span setup job_cap ~mode:Core.Event_lp.Continuous
+              solve_and_replay setup job_cap ~mode:Core.Event_lp.Continuous
                 ~reduce_slack:false )
           with
           | Some (yes, _), Some (no, _) ->

@@ -1,8 +1,7 @@
-(** Simplex-kernel benchmark: hypersparse FTRAN/BTRAN and devex pricing
-    vs the dense + Dantzig baseline at three trace sizes, toggled
-    in-process via [POWERLIM_HYPERSPARSE]/[POWERLIM_DEVEX].  Writes
-    [BENCH_simplex.json] (schema documented in EXPERIMENTS.md) and
-    fails — non-zero exit — when any mode's objective differs from the
-    baseline beyond 1e-9 at any cap. *)
+(** Simplex benchmark: cold, warm and cap-sweep timings, pivot counts
+    and kernel sparse-hit rates at three trace sizes, plus the
+    32 → 1296-rank size ladder.  Writes [BENCH_simplex.json] (schema
+    documented in EXPERIMENTS.md) and fails — non-zero exit — when
+    cold-solve time grows superquadratically from 512 to 1024 ranks. *)
 
 val run : ?config:Common.config -> Format.formatter -> unit

@@ -14,17 +14,15 @@
     factorization is always produced; the caller inspects [replaced] and
     repairs its basis. *)
 
-(** Structure-only transposes of the factors, built lazily: [usucc]
-    lists, for each pivot position [i], the columns [k] with
-    [i ∈ urows.(k)] (and [lsucc] likewise for [L]).  The gather-form
-    transpose solve needs them to know which positions a nonzero
-    {e reaches}; the numeric gathers themselves still read the original
-    column storage, so sparse and dense solves perform identical
-    floating-point operations. *)
+(** Symbolic data for the Forrest–Tomlin kernels, built lazily: the
+    inverse column pre-ordering, and the structure-only transpose of [L]
+    ([lsucc] lists, for each pivot position [i], the columns [k] with
+    [i ∈ lrows.(k)]).  The gather-form transpose solve needs it to know
+    which positions a nonzero {e reaches}; the numeric gathers
+    themselves still read the original column storage, so sparse and
+    dense solves perform identical floating-point operations. *)
 type tsym = {
   cpos : int array;  (** inverse of [cperm] *)
-  usucc_ptr : int array;
-  usucc_ind : int array;
   lsucc_ptr : int array;
   lsucc_ind : int array;
 }
@@ -45,7 +43,7 @@ type t = {
       (** [(col, row)]: basis column [col] was singular and stands replaced
           by the unit column of original row [row]. *)
   mutable tsym : tsym option;
-      (** lazily built transpose structure for sparse transpose solves *)
+      (** lazily built symbolic data for the Forrest–Tomlin kernels *)
 }
 
 let nnz t =
@@ -111,7 +109,7 @@ let sort_prefix (a : int array) n =
     rule breaking ties within a band, which keeps fill confined to the
     staircase blocks of chain-structured bases.  Without [?bands] the
     ordering is exactly the historical sparsest-first one. *)
-let factor ?(symbolic = true) ?bands ~m col_iter0 =
+let factor ?bands ~m col_iter0 =
   let pos = Array.make m (-1) in
   let p = Array.make m (-1) in
   (* static nonzero count per row and column of the input *)
@@ -188,61 +186,45 @@ let factor ?(symbolic = true) ?bands ~m col_iter0 =
        of scanning all [k] prior columns.  Processing the reach set in
        ascending pivot order with the same [xj <> 0.0] guard performs
        exactly the floating-point operations of the full scan, in the
-       same order — the factors are bitwise identical, and
-       [~symbolic:false] keeps the plain scan around as the measurable
-       pre-hypersparse baseline. *)
-    if symbolic then begin
-      let nreach = ref 0 in
-      for e0 = 0 to !ntouch - 1 do
-        let seed = pos.(touched.(e0)) in
-        if seed >= 0 && seed < k && rvis.(seed) <> k then begin
-          rvis.(seed) <- k;
-          rstack.(0) <- seed;
-          let top = ref 1 in
-          while !top > 0 do
-            decr top;
-            let u = rstack.(!top) in
-            rreach.(!nreach) <- u;
-            incr nreach;
-            let rs = lrows.(u) in
-            for e = 0 to Array.length rs - 1 do
-              (* lrows still holds original row indices at this point *)
-              let w = pos.(rs.(e)) in
-              if w >= 0 && w < k && rvis.(w) <> k then begin
-                rvis.(w) <- k;
-                rstack.(!top) <- w;
-                incr top
-              end
-            done
-          done
-        end
-      done;
-      sort_prefix rreach !nreach;
-      for e0 = 0 to !nreach - 1 do
-        let j = rreach.(e0) in
-        let xj = work.(p.(j)) in
-        if xj <> 0.0 then begin
-          let rs = lrows.(j) and vs = lvals.(j) in
+       same order. *)
+    let nreach = ref 0 in
+    for e0 = 0 to !ntouch - 1 do
+      let seed = pos.(touched.(e0)) in
+      if seed >= 0 && seed < k && rvis.(seed) <> k then begin
+        rvis.(seed) <- k;
+        rstack.(0) <- seed;
+        let top = ref 1 in
+        while !top > 0 do
+          decr top;
+          let u = rstack.(!top) in
+          rreach.(!nreach) <- u;
+          incr nreach;
+          let rs = lrows.(u) in
           for e = 0 to Array.length rs - 1 do
-            let i = rs.(e) in
-            touch i;
-            work.(i) <- work.(i) -. (xj *. vs.(e))
+            (* lrows still holds original row indices at this point *)
+            let w = pos.(rs.(e)) in
+            if w >= 0 && w < k && rvis.(w) <> k then begin
+              rvis.(w) <- k;
+              rstack.(!top) <- w;
+              incr top
+            end
           done
-        end
-      done
-    end
-    else
-      for j = 0 to k - 1 do
-        let xj = work.(p.(j)) in
-        if xj <> 0.0 then begin
-          let rs = lrows.(j) and vs = lvals.(j) in
-          for e = 0 to Array.length rs - 1 do
-            let i = rs.(e) in
-            touch i;
-            work.(i) <- work.(i) -. (xj *. vs.(e))
-          done
-        end
-      done;
+        done
+      end
+    done;
+    sort_prefix rreach !nreach;
+    for e0 = 0 to !nreach - 1 do
+      let j = rreach.(e0) in
+      let xj = work.(p.(j)) in
+      if xj <> 0.0 then begin
+        let rs = lrows.(j) and vs = lvals.(j) in
+        for e = 0 to Array.length rs - 1 do
+          let i = rs.(e) in
+          touch i;
+          work.(i) <- work.(i) -. (xj *. vs.(e))
+        done
+      end
+    done;
     (* Threshold pivoting: among not-yet-pivoted rows within
        [pivot_threshold] of the max magnitude, take the sparsest. *)
     let pmag = ref 0.0 in
@@ -396,12 +378,12 @@ let solve_t t ~(c : float array) ~(y : float array) ~(scratch : float array) =
   for k = 0 to m - 1 do y.(t.p.(k)) <- scratch.(k) done
 
 (* ------------------------------------------------------------------ *)
-(* Hypersparse right-hand-side solves (Gilbert–Peierls reachability)    *)
+(* Hypersparse kernel support (Gilbert–Peierls reachability)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Invert the column pre-ordering and build structure-only transposes of
-   both factors: [usucc.(i)] = columns [k] with [i ∈ urows.(k)], i.e.
-   the positions a nonzero at [i] reaches in the U^T forward solve. *)
+(* Invert the column pre-ordering and build the structure-only transpose
+   of [L]: [lsucc.(i)] = columns [k] with [i ∈ lrows.(k)], i.e. the
+   positions a nonzero at [i] reaches in the L^T backward solve. *)
 let build_tsym t =
   let m = t.m in
   let cpos = Array.make m 0 in
@@ -431,9 +413,8 @@ let build_tsym t =
     done;
     (ptr, ind)
   in
-  let usucc_ptr, usucc_ind = transpose t.urows in
   let lsucc_ptr, lsucc_ind = transpose t.lrows in
-  { cpos; usucc_ptr; usucc_ind; lsucc_ptr; lsucc_ind }
+  { cpos; lsucc_ptr; lsucc_ind }
 
 let tsym t =
   match t.tsym with
@@ -443,11 +424,12 @@ let tsym t =
       t.tsym <- Some s;
       s
 
-(** Workspace for the sparse solves: a timestamped value accumulator (so
-    the per-solve reset is O(touched), never O(m)), reach lists, a DFS
-    stack with its own visit stamps, and dense scratch for the fallback
-    path.  One [swork] serves any number of factorizations of the same
-    dimension; it is single-owner mutable state (one per solver call). *)
+(** Workspace for the Forrest–Tomlin sparse solves: a timestamped value
+    accumulator (so the per-solve reset is O(touched), never O(m)), reach
+    lists, a DFS stack with its own visit stamps, and dense scratch for
+    the fallback path.  One [swork] serves any number of factorizations
+    of the same dimension; it is single-owner mutable state (one per
+    solver call). *)
 type swork = {
   sv : float array;  (** stamped values *)
   sstamp : int array;
@@ -475,10 +457,6 @@ let make_swork m =
     ds = Array.make m 0.0;
   }
 
-(* Sort the first [n] entries of [a] ascending, in place.  The reach
-   sets must be processed in pivot order for the numeric passes to
-   perform the same floating-point operations, in the same order, as the
-   dense sweeps. *)
 (* Sparse triangular solves stay worthwhile until the result fills in;
    past a quarter of the dimension the dense sweep's streaming access
    wins and the symbolic pass is pure overhead. *)
@@ -547,176 +525,6 @@ let reach_ptr sw (ptr : int array) (ind : int array) ~nseeds ~(out : int array)
     done
   done;
   if !over then -1 else !cnt
-
-(** [solve_sp t sw ~nb ~bidx ~b ~x ~xind] solves [B x = b] for a sparse
-    right-hand side: [b] is a dense array whose nonzeros are exactly at
-    the [nb] distinct original-row indices [bidx.(0 .. nb-1)].
-
-    Returns [-1] when the result filled in past the density cutoff — the
-    solve then ran the dense kernel and every entry of [x] is valid
-    (exactly as {!solve}).  Otherwise returns the nonzero count [n]:
-    [xind.(0 .. n-1)] holds the (sorted, ascending) column positions of
-    all possibly-nonzero entries of [x], [x] is written only there, and
-    entries of [x] outside the list are untouched — callers keep [x]
-    all-zero between solves, which makes the reset O(n).
-
-    Numerics match {!solve} bit for bit on the nonzero pattern: the
-    sparse path performs the same operations in the same order and only
-    skips positions the dense sweep would compute as (signed) zero. *)
-let solve_sp t sw ~nb ~(bidx : int array) ~(b : float array) ~(x : float array)
-    ~(xind : int array) =
-  let m = t.m in
-  let cutoff = reach_cutoff m in
-  let dense () =
-    for s = 0 to nb - 1 do
-      sw.db.(bidx.(s)) <- b.(bidx.(s))
-    done;
-    solve t ~b:sw.db ~x ~scratch:sw.ds;
-    for s = 0 to nb - 1 do
-      sw.db.(bidx.(s)) <- 0.0
-    done;
-    -1
-  in
-  if nb >= cutoff then dense ()
-  else begin
-    (* Stage-1 reach: closure of the seed positions under L's columns. *)
-    for s = 0 to nb - 1 do
-      sw.r1.(s) <- t.pos.(bidx.(s))
-    done;
-    let n1 = reach_arr sw t.lrows ~nseeds:nb ~out:sw.r1 ~cutoff in
-    if n1 < 0 then dense ()
-    else begin
-      (* Stage-2 reach: closure of stage 1 under U's columns. *)
-      Array.blit sw.r1 0 sw.r2 0 n1;
-      let n2 = reach_arr sw t.urows ~nseeds:n1 ~out:sw.r2 ~cutoff in
-      if n2 < 0 then dense ()
-      else begin
-        sort_prefix sw.r1 n1;
-        sort_prefix sw.r2 n2;
-        sw.sepoch <- sw.sepoch + 1;
-        let ep = sw.sepoch in
-        for e = 0 to n2 - 1 do
-          let k = sw.r2.(e) in
-          sw.sv.(k) <- 0.0;
-          sw.sstamp.(k) <- ep
-        done;
-        for s = 0 to nb - 1 do
-          let i = bidx.(s) in
-          sw.sv.(t.pos.(i)) <- b.(i)
-        done;
-        (* z = L^{-1} P b over the stage-1 reach, ascending. *)
-        for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          let zk = sw.sv.(k) in
-          if zk <> 0.0 then begin
-            let rs = t.lrows.(k) and vs = t.lvals.(k) in
-            for q = 0 to Array.length rs - 1 do
-              sw.sv.(rs.(q)) <- sw.sv.(rs.(q)) -. (vs.(q) *. zk)
-            done
-          end
-        done;
-        (* Back substitution over the stage-2 reach, descending. *)
-        for e = n2 - 1 downto 0 do
-          let k = sw.r2.(e) in
-          let xk = sw.sv.(k) /. t.udiag.(k) in
-          x.(t.cperm.(k)) <- xk;
-          xind.(e) <- t.cperm.(k);
-          if xk <> 0.0 then begin
-            let rs = t.urows.(k) and vs = t.uvals.(k) in
-            for q = 0 to Array.length rs - 1 do
-              sw.sv.(rs.(q)) <- sw.sv.(rs.(q)) -. (vs.(q) *. xk)
-            done
-          end
-        done;
-        sort_prefix xind n2;
-        n2
-      end
-    end
-  end
-
-(** [solve_t_sp t sw ~nc ~cidx ~c ~y ~yind] solves [B^T y = c] for a
-    sparse right-hand side: [c] dense with nonzeros exactly at the [nc]
-    distinct basis positions [cidx.(0 .. nc-1)].  Same contract as
-    {!solve_sp}: [-1] means the dense kernel ran and all of [y] is
-    valid; otherwise [yind] lists the (sorted) original-row indices of
-    the possibly-nonzero entries of [y]. *)
-let solve_t_sp t sw ~nc ~(cidx : int array) ~(c : float array)
-    ~(y : float array) ~(yind : int array) =
-  let m = t.m in
-  let cutoff = reach_cutoff m in
-  let dense () =
-    for s = 0 to nc - 1 do
-      sw.db.(cidx.(s)) <- c.(cidx.(s))
-    done;
-    solve_t t ~c:sw.db ~y ~scratch:sw.ds;
-    for s = 0 to nc - 1 do
-      sw.db.(cidx.(s)) <- 0.0
-    done;
-    -1
-  in
-  if nc >= cutoff then dense ()
-  else begin
-    let ts = tsym t in
-    (* Stage-1 reach: nonzeros of c (mapped to pivot positions) spread
-       through U^T along the transpose structure. *)
-    for s = 0 to nc - 1 do
-      sw.r1.(s) <- ts.cpos.(cidx.(s))
-    done;
-    let n1 = reach_ptr sw ts.usucc_ptr ts.usucc_ind ~nseeds:nc ~out:sw.r1 ~cutoff in
-    if n1 < 0 then dense ()
-    else begin
-      Array.blit sw.r1 0 sw.r2 0 n1;
-      let n2 =
-        reach_ptr sw ts.lsucc_ptr ts.lsucc_ind ~nseeds:n1 ~out:sw.r2 ~cutoff
-      in
-      if n2 < 0 then dense ()
-      else begin
-        sort_prefix sw.r1 n1;
-        sort_prefix sw.r2 n2;
-        sw.sepoch <- sw.sepoch + 1;
-        let ep = sw.sepoch in
-        for e = 0 to n2 - 1 do
-          let k = sw.r2.(e) in
-          sw.sv.(k) <- 0.0;
-          sw.sstamp.(k) <- ep
-        done;
-        for s = 0 to nc - 1 do
-          let j = cidx.(s) in
-          sw.sv.(ts.cpos.(j)) <- c.(j)
-        done;
-        (* U^T w = c: forward gather over the stage-1 reach.  Gathered
-           positions outside the reach read as exact zero through the
-           stamp — the dense sweep computes (signed) zero there. *)
-        for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          let acc = ref sw.sv.(k) in
-          let rs = t.urows.(k) and vs = t.uvals.(k) in
-          for q = 0 to Array.length rs - 1 do
-            let i = rs.(q) in
-            let wi = if sw.sstamp.(i) = ep then sw.sv.(i) else 0.0 in
-            acc := !acc -. (vs.(q) *. wi)
-          done;
-          sw.sv.(k) <- !acc /. t.udiag.(k)
-        done;
-        (* L^T v = w: backward gather over the stage-2 reach. *)
-        for e = n2 - 1 downto 0 do
-          let k = sw.r2.(e) in
-          let acc = ref sw.sv.(k) in
-          let rs = t.lrows.(k) and vs = t.lvals.(k) in
-          for q = 0 to Array.length rs - 1 do
-            let i = rs.(q) in
-            let vi = if sw.sstamp.(i) = ep then sw.sv.(i) else 0.0 in
-            acc := !acc -. (vs.(q) *. vi)
-          done;
-          sw.sv.(k) <- !acc;
-          y.(t.p.(k)) <- !acc;
-          yind.(e) <- t.p.(k)
-        done;
-        sort_prefix yind n2;
-        n2
-      end
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Bordered basis updates                                              *)
@@ -953,7 +761,7 @@ module Ft = struct
 
   (* Shared by the dense and sparse FTRAN: apply the row etas, oldest
      first, to the post-L intermediate held in [z] (dense array). *)
-  let apply_etas_dense u (z : float array) =
+  let apply_row_etas u (z : float array) =
     for e = 0 to u.ne - 1 do
       let t = u.re_t.(e) in
       let acc = ref z.(t) in
@@ -984,7 +792,7 @@ module Ft = struct
         done
       end
     done;
-    apply_etas_dense u scratch;
+    apply_row_etas u scratch;
     if keep_spike then begin
       Array.blit scratch 0 u.w.spike 0 m;
       u.w.spike_n <- -1
@@ -1094,8 +902,16 @@ module Ft = struct
       a.(!m) <- v
     done
 
-  (** Sparse-RHS FTRAN against the updated factors; contract of
-      {!solve_sp} ([-1] = dense kernel ran, all of [x] valid). *)
+  (** Sparse-RHS FTRAN against the updated factors: [b] is dense with
+      nonzeros exactly at the [nb] distinct original-row indices
+      [bidx.(0 .. nb-1)].  Returns [-1] when the result filled in past
+      the density cutoff (the dense kernel ran, all of [x] is valid),
+      else the support size [n]: [xind.(0 .. n-1)] lists, sorted, the
+      basis positions of all possibly-nonzero entries, and [x] is written
+      only there.  Callers keep [x] all-zero outside the support between
+      calls.  The numerics match {!ftran_d} bit for bit: the sparse path
+      performs the same operations in the same order and only skips
+      positions the dense sweep computes as (signed) zero. *)
   let ftran_sp u ~keep_spike ~nb ~(bidx : int array) ~(b : float array)
       ~(x : float array) ~(xind : int array) =
     let base = u.base in
@@ -1221,8 +1037,10 @@ module Ft = struct
       end
     end
 
-  (** Sparse-RHS BTRAN against the updated factors; contract of
-      {!solve_t_sp}. *)
+  (** Sparse-RHS BTRAN against the updated factors, with the contract of
+      {!ftran_sp}: [c] has nonzeros exactly at basis positions
+      [cidx.(0 .. nc-1)], and [yind] lists the original-row indices of
+      [y]'s possibly-nonzero entries. *)
   let btran_sp u ~nc ~(cidx : int array) ~(c : float array)
       ~(y : float array) ~(yind : int array) =
     let base = u.base in

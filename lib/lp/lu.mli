@@ -10,14 +10,12 @@
 
 type tsym = {
   cpos : int array;  (** inverse of [cperm] *)
-  usucc_ptr : int array;
-  usucc_ind : int array;
-      (** structure-only transpose of [urows]: successors of each pivot
-          position in the U^T forward solve *)
   lsucc_ptr : int array;
-  lsucc_ind : int array;  (** likewise for [lrows] / the L^T solve *)
+  lsucc_ind : int array;
+      (** structure-only transpose of [lrows]: successors of each pivot
+          position in the L^T backward solve *)
 }
-(** Symbolic transpose structure, built lazily for {!solve_t_sp}. *)
+(** Symbolic data built lazily for the {!Ft} kernels. *)
 
 type t = {
   m : int;
@@ -34,30 +32,23 @@ type t = {
   replaced : (int * int) list;
       (** [(col, row)]: basis column [col] was singular and stands
           replaced by the unit column of original row [row] *)
-  mutable tsym : tsym option;
-      (** lazily-built transpose structure for the sparse BTRAN *)
+  mutable tsym : tsym option;  (** lazily-built {!tsym} *)
 }
 
 val nnz : t -> int
 (** Stored entries in both factors (including unit diagonals). *)
 
 val factor :
-  ?symbolic:bool ->
-  ?bands:int array ->
-  m:int ->
-  (int -> (int -> float -> unit) -> unit) ->
-  t
+  ?bands:int array -> m:int -> (int -> (int -> float -> unit) -> unit) -> t
 (** [factor ~m col_iter] factorizes the [m]×[m] matrix whose [k]-th
-    column is enumerated by [col_iter k f].  [symbolic] (default [true])
-    selects Gilbert–Peierls reachability for the per-column elimination;
-    [~symbolic:false] scans every prior column instead — same floating
-    point operations in the same order, so the factors are bitwise
-    identical either way (it exists as the measurable pre-hypersparse
-    baseline).  [?bands] assigns each input column a staircase band;
-    columns are then pre-ordered band-major with sparsest-first
-    (Markowitz-style) tie-breaking within a band, confining fill to the
-    staircase blocks of chain-structured bases.  Omitting [?bands]
-    reproduces the historical sparsest-first ordering exactly. *)
+    column is enumerated by [col_iter k f].  The per-column elimination
+    visits only the prior columns reachable through the L dependency
+    DAG (Gilbert–Peierls).  [?bands] assigns each input column a
+    staircase band; columns are then pre-ordered band-major with
+    sparsest-first (Markowitz-style) tie-breaking within a band,
+    confining fill to the staircase blocks of chain-structured bases.
+    Omitting [?bands] reproduces the historical sparsest-first ordering
+    exactly. *)
 
 val solve : t -> b:float array -> x:float array -> scratch:float array -> unit
 (** Solve [B x = b].  [b] is indexed by original rows, [x] by basis
@@ -68,58 +59,8 @@ val solve_t :
 (** Solve [B^T y = c].  [c] is indexed by basis position, [y] by original
     rows. *)
 
-(** {2 Hypersparse right-hand-side solves}
-
-    Gilbert–Peierls symbolic reachability over the L/U dependency DAG:
-    the triangular sweeps visit only positions reachable from the RHS
-    nonzeros, with timestamped accumulators instead of O(m) clears, and
-    fall back to the dense kernels above when the reach set fills in. *)
-
-type swork
-(** Reusable workspace for {!solve_sp}/{!solve_t_sp}: timestamped value
-    accumulator, reach lists, DFS stack, and dense fallback scratch.
-    One per concurrent solver; valid across factorizations of the same
-    dimension. *)
-
-val make_swork : int -> swork
-(** [make_swork m] allocates workspace for dimension [m]. *)
-
 val sort_prefix : int array -> int -> unit
 (** [sort_prefix a n] sorts [a.(0 .. n-1)] ascending, in place. *)
-
-val solve_sp :
-  t ->
-  swork ->
-  nb:int ->
-  bidx:int array ->
-  b:float array ->
-  x:float array ->
-  xind:int array ->
-  int
-(** [solve_sp t sw ~nb ~bidx ~b ~x ~xind] solves [B x = b] where [b] is
-    dense with nonzeros exactly at the [nb] distinct original-row
-    indices [bidx.(0 .. nb-1)].  Returns [-1] if the dense kernel ran
-    (result filled in past the density cutoff; all of [x] is valid), or
-    the support size [n]: [xind.(0 .. n-1)] lists (sorted ascending) the
-    positions of all possibly-nonzero entries of [x], and [x] is written
-    only there.  Callers must keep [x] all-zero outside the returned
-    support between calls.  On the sparse path the numerics are bitwise
-    identical to {!solve} at every listed position. *)
-
-val solve_t_sp :
-  t ->
-  swork ->
-  nc:int ->
-  cidx:int array ->
-  c:float array ->
-  y:float array ->
-  yind:int array ->
-  int
-(** [solve_t_sp t sw ~nc ~cidx ~c ~y ~yind] solves [B^T y = c] with the
-    same contract as {!solve_sp}: [c] has nonzeros exactly at basis
-    positions [cidx.(0 .. nc-1)]; returns [-1] (dense ran) or the
-    support size with [yind] listing the original-row indices of [y]'s
-    possibly-nonzero entries. *)
 
 (** {2 Bordered basis updates}
 
@@ -158,8 +99,14 @@ val bordered_pivot :
     eta} applied between [L] and [U].  Row etas create no fill outside
     the eliminated row, so [U] stays sparse where product-form column
     etas accrete it — the refactorization trigger becomes a fill ratio,
-    not an update count.  With zero updates every kernel replays
-    {!solve}/{!solve_t} (and their sparse variants) bit for bit. *)
+    not an update count.  With zero updates the dense kernels replay
+    {!solve}/{!solve_t} bit for bit.
+
+    The sparse-RHS kernels are hypersparse: Gilbert–Peierls symbolic
+    reachability over the factors' dependency DAG, so the triangular
+    sweeps visit only positions reachable from the RHS nonzeros, with
+    timestamped accumulators instead of O(m) clears, falling back to the
+    dense kernels when the reach set fills in. *)
 module Ft : sig
   type wsp
   (** Reusable m-sized workspace; one per concurrent solver, valid
@@ -178,8 +125,7 @@ module Ft : sig
 
   val fill_ratio : u -> float
   (** (L + dynamic U + row-eta nonzeros) / nonzeros at [of_factor]
-      time; the refactorization trigger compares this against the
-      [POWERLIM_REFACTOR] limit. *)
+      time; {!Revised} refactorizes above 2.0. *)
 
   val fill_hwm : u -> float
   (** High-water [fill_ratio] since [of_factor]. *)
@@ -217,7 +163,15 @@ module Ft : sig
     x:float array ->
     xind:int array ->
     int
-  (** Sparse-RHS FTRAN; contract of {!solve_sp}. *)
+  (** Sparse-RHS FTRAN: [b] is dense with nonzeros exactly at the [nb]
+      distinct original-row indices [bidx.(0 .. nb-1)].  Returns [-1] if
+      the dense kernel ran (the result filled in past the density
+      cutoff; all of [x] is valid), or the support size [n]:
+      [xind.(0 .. n-1)] lists (sorted ascending) the positions of all
+      possibly-nonzero entries of [x], and [x] is written only there.
+      Callers must keep [x] all-zero outside the returned support
+      between calls.  On the sparse path the numerics are bitwise
+      identical to {!ftran_d} at every listed position. *)
 
   val btran_sp :
     u ->
@@ -227,5 +181,8 @@ module Ft : sig
     y:float array ->
     yind:int array ->
     int
-  (** Sparse-RHS BTRAN; contract of {!solve_t_sp}. *)
+  (** Sparse-RHS BTRAN with the contract of {!ftran_sp}: [c] has
+      nonzeros exactly at basis positions [cidx.(0 .. nc-1)]; [yind]
+      lists the original-row indices of [y]'s possibly-nonzero
+      entries. *)
 end

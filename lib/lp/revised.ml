@@ -7,9 +7,12 @@
     objective (minimize the sum of artificials) is solved first.
 
     The basis is factorized with {!Lu} and updated between
-    refactorizations with product-form (eta) updates.  Pricing is
-    Dantzig's rule with an automatic switch to Bland's rule after a run of
-    degenerate pivots; the ratio test is a two-pass Harris test.
+    refactorizations with Forrest–Tomlin row etas ({!Lu.Ft}); FTRAN and
+    BTRAN of sparse right-hand sides run the hypersparse kernels, with an
+    adaptive fallback to the dense ones.  Pricing is Dantzig's rule over a
+    rotating partial-pricing window, with an automatic switch to Bland's
+    rule after a run of degenerate pivots; the ratio test is a two-pass
+    Harris test.  Every LP, whatever its size, takes this one path.
 
     Warm starts: [solve] returns the final basis (basic set + nonbasic
     statuses) and accepts it back via [?warm] on a later call whose
@@ -51,76 +54,17 @@ type result = {
           exists (e.g. constraint-free models) *)
 }
 
-type eta = { er : int; eidx : int array; evals : float array; edia : float }
-
 let neg_inf = Float.neg_infinity
 let inf = Float.infinity
 
 exception Warm_fallback
 
-(* Runtime knobs, read once per solve so tests can flip them between
-   calls.  All parsing/validation lives in [Putil.Env]: a malformed or
-   out-of-range value warns once on stderr and falls back to the
-   default. *)
-
-(* Devex candidate-list pricing (POWERLIM_DEVEX=0 restores the classic
-   Dantzig loop bit for bit). *)
-let devex_enabled () = Putil.Env.flag "POWERLIM_DEVEX" ~default:true
-
-(* Hypersparse FTRAN/BTRAN (POWERLIM_HYPERSPARSE=0 forces the dense
-   kernels; simplexbench uses it to measure the pre-change baseline). *)
-let hypersparse_enabled () = Putil.Env.flag "POWERLIM_HYPERSPARSE" ~default:true
-
-(* Eta-file length that triggers refactorization (POWERLIM_ETA_LIMIT,
-   default 64).  Only governs the legacy product-form path; in
-   Forrest–Tomlin mode it survives as a deprecated alias for the
-   update-count cap (see [ft_update_cap]). *)
-let eta_limit () = Putil.Env.int ~lo:1 "POWERLIM_ETA_LIMIT" ~default:64
-
-(* Forrest–Tomlin row-eta basis updates (POWERLIM_FT=0 restores the
-   product-form column-eta file). *)
-let ft_enabled () = Putil.Env.flag "POWERLIM_FT" ~default:true
-
-(* Fill ratio — (L + dynamic U + row etas) / nonzeros at factorization —
-   that triggers refactorization in Forrest–Tomlin mode
-   (POWERLIM_REFACTOR, default 2.0; must exceed 1.0, the fill ratio of
-   a fresh factorization). *)
-let refactor_limit () =
-  Putil.Env.float ~lo_exclusive:1.0 "POWERLIM_REFACTOR" ~default:2.0
-
-(* Absolute update-count backstop between refactorizations in FT mode:
-   the fill ratio is the primary trigger, the cap bounds numerical
-   drift on fill-free update chains.  POWERLIM_ETA_LIMIT, when set,
-   overrides it (deprecated alias; the first use reports both effective
-   knobs on stderr). *)
-let eta_limit_warned = ref false
-
-let ft_update_cap ~refac_lim =
-  if Putil.Env.explicit "POWERLIM_ETA_LIMIT" then begin
-    let n = Putil.Env.int ~lo:1 "POWERLIM_ETA_LIMIT" ~default:256 in
-    if not !eta_limit_warned then begin
-      eta_limit_warned := true;
-      Printf.eprintf
-        "powerlim: POWERLIM_ETA_LIMIT is deprecated with Forrest-Tomlin \
-         updates; treating it as the update-count cap (%d).  \
-         Refactorization is primarily triggered by POWERLIM_REFACTOR \
-         (fill ratio, currently %g).\n\
-         %!"
-        n refac_lim
-    end;
-    n
-  end
-  else 256
-
-(* Below this row count the reachability probes, support bookkeeping
-   and devex candidate machinery cost more than the dense classic loop
-   they avoid, so small instances auto-select dense kernels and classic
-   pricing (Forrest–Tomlin stays on — the update itself is cheaper than
-   a product-form eta at any size).  Explicitly set
-   POWERLIM_HYPERSPARSE / POWERLIM_DEVEX still win, so kernel tests and
-   the benchmark baselines keep their meaning on small instances. *)
-let small_lp_threshold () =
-  Putil.Env.int ~lo:0 "POWERLIM_SMALL_LP" ~default:160
+(* Refactorization triggers.  The fill ratio — (L + dynamic U + row
+   etas) / nonzeros at factorization, 1.0 when fresh — is the primary
+   one; the update-count cap bounds numerical drift on fill-free update
+   chains. *)
+let refactor_fill_limit = 2.0
+let ft_update_cap = 256
 
 type analysis = { arows : Sparse.Csc.rows }
 (** Symbolic analysis of a problem's constraint matrix, reusable across
@@ -156,22 +100,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
     ?rhs ?warm ?analysis ?bands (p : Model.problem) : result =
   let t_solve0 = Unix.gettimeofday () in
   let nv = p.nv and m = p.nr in
-  let eta_max = eta_limit () in
-  let ftmode = ft_enabled () in
-  let refac_lim = refactor_limit () in
-  let ft_cap = if ftmode then ft_update_cap ~refac_lim else max_int in
-  let small = m > 0 && m <= small_lp_threshold () in
-  (* [Putil.Env.explicit] treats an empty value as unset: [Unix.putenv]
-     cannot remove a variable, so in-process benchmarks set "" to hand
-     the choice back to the auto mode. *)
-  let hyper =
-    if Putil.Env.explicit "POWERLIM_HYPERSPARSE" then hypersparse_enabled ()
-    else not small
-  in
-  let devex =
-    if Putil.Env.explicit "POWERLIM_DEVEX" then devex_enabled ()
-    else not small
-  in
   let lb_s = match lb with Some a -> a | None -> p.lb in
   let ub_s = match ub with Some a -> a | None -> p.ub in
   let rhs_s = match rhs with Some a -> a | None -> p.row_rhs in
@@ -320,26 +248,12 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       in
       let factor_basis () =
         match basis_bands with
-        | None -> Lu.factor ~symbolic:hyper ~m (fun k f -> col_iter basis.(k) f)
+        | None -> Lu.factor ~m (fun k f -> col_iter basis.(k) f)
         | Some mk ->
-            Lu.factor ~symbolic:hyper ~bands:(mk ()) ~m (fun k f ->
-                col_iter basis.(k) f)
+            Lu.factor ~bands:(mk ()) ~m (fun k f -> col_iter basis.(k) f)
       in
-      let lu = ref (factor_basis ()) in
-      let etas = ref [] (* newest first *) in
-      let n_etas = ref 0 in
-      (* Forrest–Tomlin state: [ft] wraps the current factorization with
-         updatable U storage.  Rebuilt (cheaply — the workspace is
-         reused) at every refactorization; [None] only before the first
-         one.  The eta file stays empty in FT mode, so every
-         [apply_etas_to_w] and eta-transpose loop below is a no-op. *)
-      let ftw = Lu.Ft.make_wsp (if ftmode then m else 0) in
-      let ft : Lu.Ft.u option ref = ref None in
       let c_ft_updates = ref 0 in
       let fill_max = ref 0.0 in
-      let ft_u () =
-        match !ft with Some u -> u | None -> assert false
-      in
       let scratch = Array.make m 0.0 in
       let bwork = Array.make m 0.0 in
       (* --- hypersparse kernel state ------------------------------------
@@ -351,11 +265,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          O(support).  [sb] is the shared sparse right-hand-side scratch
          (kept all-zero between uses), with stamped membership so builds
          that hit a row twice record it once. *)
-      let sw = Lu.make_swork m in
       let w_ind = Array.make m 0 in
       let w_n = ref 0 in
-      let w_in = Array.make m (-1) in
-      let w_epoch = ref 0 in
       let rho_ind = Array.make m 0 in
       let rho_n = ref 0 in
       let sb = Array.make m 0.0 in
@@ -365,9 +276,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let c_ftran_sp = ref 0
       and c_ftran_dn = ref 0
       and c_btran_sp = ref 0
-      and c_btran_dn = ref 0
-      and c_devex_resets = ref 0
-      and c_refreshes = ref 0 in
+      and c_btran_dn = ref 0 in
       (* Adaptive dense/sparse switching: the reachability probe costs
          real work even when it aborts at the cutoff, so after [af_trip]
          consecutive dense fallbacks a kernel goes straight to the dense
@@ -377,38 +286,17 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let af_trip = 4 and af_hold = 64 in
       let ft_fail = ref 0 and ft_skip = ref 0 in
       let bt_fail = ref 0 and bt_skip = ref 0 in
-      let recompute_x_basic () =
-        Array.blit rhs_s 0 bwork 0 m;
-        for j = 0 to ntot () - 1 do
-          if where.(j) < 0 then begin
-            let v = nbval j in
-            if v <> 0.0 then
-              col_iter j (fun i a -> bwork.(i) <- bwork.(i) -. (a *. v))
-          end
-        done;
-        match !ft with
-        | Some u -> Lu.Ft.ftran_d u ~keep_spike:false ~b:bwork ~x:x_basic ~scratch
-        | None -> Lu.solve !lu ~b:bwork ~x:x_basic ~scratch
-      in
-      let rec refactorize depth =
+      (* Factorize the basis, standing each row's slack in for a column
+         {!Lu.factor} found singular, until the factorization is clean. *)
+      let rec factor_repaired depth =
         if depth > 4 then failwith "Revised: unable to repair singular basis";
         let t0 = clock () in
         let f = factor_basis () in
         t_factor := !t_factor +. clock () -. t0;
         incr n_factor;
         lu_nnz_total := !lu_nnz_total + Lu.nnz f;
-        etas := [];
-        n_etas := 0;
-        (match !ft with
-        | Some u ->
-            if Lu.Ft.fill_hwm u > !fill_max then fill_max := Lu.Ft.fill_hwm u;
-            ft := None
-        | None -> ());
         match f.Lu.replaced with
-        | [] ->
-            lu := f;
-            if ftmode then ft := Some (Lu.Ft.of_factor ftw f);
-            recompute_x_basic ()
+        | [] -> f
         | reps ->
             List.iter
               (fun (kpos, row) ->
@@ -424,70 +312,43 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 basis.(kpos) <- slack;
                 where.(slack) <- kpos)
               reps;
-            refactorize (depth + 1)
+            factor_repaired (depth + 1)
       in
-      (* Refactorization trigger, checked at every loop top: fill ratio
-         (plus the update-count backstop) in FT mode, eta-file length on
-         the legacy path. *)
+      (* Forrest–Tomlin state: [ft] wraps the current factorization with
+         updatable U storage, rebuilt (cheaply — the workspace is reused)
+         at every refactorization. *)
+      let ftw = Lu.Ft.make_wsp m in
+      let ft = ref (Lu.Ft.of_factor ftw (factor_repaired 0)) in
+      let recompute_x_basic () =
+        Array.blit rhs_s 0 bwork 0 m;
+        for j = 0 to ntot () - 1 do
+          if where.(j) < 0 then begin
+            let v = nbval j in
+            if v <> 0.0 then
+              col_iter j (fun i a -> bwork.(i) <- bwork.(i) -. (a *. v))
+          end
+        done;
+        Lu.Ft.ftran_d !ft ~keep_spike:false ~b:bwork ~x:x_basic ~scratch
+      in
+      let refactorize () =
+        if Lu.Ft.fill_hwm !ft > !fill_max then fill_max := Lu.Ft.fill_hwm !ft;
+        ft := Lu.Ft.of_factor ftw (factor_repaired 0);
+        recompute_x_basic ()
+      in
+      (* Refactorization trigger, checked at every loop top. *)
       let need_refactor () =
-        if not ftmode then !n_etas >= eta_max
-        else
-          match !ft with
-          | None -> true
-          | Some u ->
-              Lu.Ft.nupdates u >= ft_cap || Lu.Ft.fill_ratio u > refac_lim
+        Lu.Ft.nupdates !ft >= ft_update_cap
+        || Lu.Ft.fill_ratio !ft > refactor_fill_limit
       in
-      refactorize 0;
       recompute_x_basic ();
       (* The simplex work vectors, with support state for the sparse
          kernels (see above). *)
       let w = Array.make m 0.0 in
       let rho = Array.make m 0.0 in
-      (* Apply the eta file (oldest first) to [w] in place.  On the
-         sparse path new support members appear only at eta rows/indices;
-         membership stamps keep the support list duplicate-free. *)
-      let apply_etas_to_w () =
-        if !w_n < 0 then
-          List.iter
-            (fun e ->
-              let t = w.(e.er) in
-              if t <> 0.0 then begin
-                w.(e.er) <- e.edia *. t;
-                for k = 0 to Array.length e.eidx - 1 do
-                  w.(e.eidx.(k)) <- w.(e.eidx.(k)) +. (e.evals.(k) *. t)
-                done
-              end)
-            (List.rev !etas)
-        else if !etas <> [] then begin
-          incr w_epoch;
-          let ep = !w_epoch in
-          for t2 = 0 to !w_n - 1 do
-            w_in.(w_ind.(t2)) <- ep
-          done;
-          List.iter
-            (fun e ->
-              let t = w.(e.er) in
-              if t <> 0.0 then begin
-                w.(e.er) <- e.edia *. t;
-                for k = 0 to Array.length e.eidx - 1 do
-                  let i = e.eidx.(k) in
-                  let add = e.evals.(k) *. t in
-                  if w_in.(i) = ep then w.(i) <- w.(i) +. add
-                  else if add <> 0.0 then begin
-                    w_in.(i) <- ep;
-                    w_ind.(!w_n) <- i;
-                    incr w_n;
-                    w.(i) <- add
-                  end
-                done
-              end)
-            (List.rev !etas)
-        end
-      in
-      (* Solve B w = sb (support [sb_ind.(0 .. nb-1)]) and apply the eta
-         file; [sb] is left for the caller to clear.  Keeps [w]'s support
-         state and the kernel counters. *)
-      let solve_into_w ?(keep_spike = false) nb =
+      (* Solve B w = sb (support [sb_ind.(0 .. nb-1)]); [sb] is left for
+         the caller to clear.  Keeps [w]'s support state and the kernel
+         counters. *)
+      let solve_into_w ~keep_spike nb =
         (match !w_n with
         | -1 -> Array.fill w 0 m 0.0
         | n ->
@@ -503,17 +364,12 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               let i = sb_ind.(s2) in
               bwork.(i) <- sb.(i)
             done;
-            (match !ft with
-            | Some u -> Lu.Ft.ftran_d u ~keep_spike ~b:bwork ~x:w ~scratch
-            | None -> Lu.solve !lu ~b:bwork ~x:w ~scratch);
+            Lu.Ft.ftran_d !ft ~keep_spike ~b:bwork ~x:w ~scratch;
             -1
           end
           else
-            match !ft with
-            | Some u ->
-                Lu.Ft.ftran_sp u ~keep_spike ~nb ~bidx:sb_ind ~b:sb ~x:w
-                  ~xind:w_ind
-            | None -> Lu.solve_sp !lu sw ~nb ~bidx:sb_ind ~b:sb ~x:w ~xind:w_ind
+            Lu.Ft.ftran_sp !ft ~keep_spike ~nb ~bidx:sb_ind ~b:sb ~x:w
+              ~xind:w_ind
         in
         if r < 0 then begin
           w_n := -1;
@@ -531,188 +387,80 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           incr c_ftran_sp;
           ft_fail := 0
         end;
-        apply_etas_to_w ();
-        (* The ratio test and eta extraction scan the support in
-           ascending row order so magnitude ties resolve exactly as the
-           dense 0..m-1 loops do. *)
+        (* The ratio test scans the support in ascending row order so
+           magnitude ties resolve exactly as the dense 0..m-1 loops do. *)
         if !w_n >= 0 then Lu.sort_prefix w_ind !w_n
       in
-      let ftran ?(keep_spike = false) j =
+      (* FTRAN of column [j] into [w], keeping the spike for the
+         Forrest–Tomlin update of the pivot that follows. *)
+      let ftran j =
         let t0 = clock () in
-        if not hyper then begin
-          Array.fill bwork 0 m 0.0;
-          col_iter j (fun i v -> bwork.(i) <- bwork.(i) +. v);
-          (match !ft with
-          | Some u -> Lu.Ft.ftran_d u ~keep_spike ~b:bwork ~x:w ~scratch
-          | None -> Lu.solve !lu ~b:bwork ~x:w ~scratch);
-          w_n := -1;
-          incr c_ftran_dn;
-          apply_etas_to_w ()
-        end
-        else begin
-          incr sb_epoch;
-          let ep = !sb_epoch in
-          let nb = ref 0 in
-          col_iter j (fun i v ->
-              if sb_in.(i) <> ep then begin
-                sb_in.(i) <- ep;
-                sb_ind.(!nb) <- i;
-                incr nb
-              end;
-              sb.(i) <- sb.(i) +. v);
-          let nb0 = !nb in
-          solve_into_w ~keep_spike nb0;
-          for s2 = 0 to nb0 - 1 do
-            sb.(sb_ind.(s2)) <- 0.0
-          done
-        end;
+        incr sb_epoch;
+        let ep = !sb_epoch in
+        let nb = ref 0 in
+        col_iter j (fun i v ->
+            if sb_in.(i) <> ep then begin
+              sb_in.(i) <- ep;
+              sb_ind.(!nb) <- i;
+              incr nb
+            end;
+            sb.(i) <- sb.(i) +. v);
+        let nb0 = !nb in
+        solve_into_w ~keep_spike:true nb0;
+        for s2 = 0 to nb0 - 1 do
+          sb.(sb_ind.(s2)) <- 0.0
+        done;
         t_ftran := !t_ftran +. clock () -. t0
       in
       let btran (cb : float array) (y : float array) =
         let t0 = clock () in
-        (* Apply eta transposes newest-first, then the base factorization. *)
-        List.iter
-          (fun e ->
-            let s = ref (e.edia *. cb.(e.er)) in
-            for k = 0 to Array.length e.eidx - 1 do
-              s := !s +. (e.evals.(k) *. cb.(e.eidx.(k)))
-            done;
-            cb.(e.er) <- !s)
-          !etas;
-        (match !ft with
-        | Some u -> Lu.Ft.btran_d u ~c:cb ~y ~scratch
-        | None -> Lu.solve_t !lu ~c:cb ~y ~scratch);
+        Lu.Ft.btran_d !ft ~c:cb ~y ~scratch;
         incr c_btran_dn;
         t_btran := !t_btran +. clock () -. t0
       in
       let cb = Array.make m 0.0 in
-      (* Unit-RHS BTRAN: rho = row r of B^-1, the pivot-row solve shared
-         by the dual simplex and devex pricing.  Sparse path applies the
-         eta transposes to a stamped sparse vector (positions outside the
-         support read as the exact zeros the dense pass holds there),
-         then runs the reachability-based transpose solve. *)
+      (* Unit-RHS BTRAN: rho = row r of B^-1, the dual simplex's
+         pivot-row solve. *)
       let btran_unit r (rho : float array) =
-        if not hyper then begin
-          Array.fill cb 0 m 0.0;
-          cb.(r) <- 1.0;
-          btran cb rho;
-          rho_n := -1
-        end
-        else begin
-          let t0 = clock () in
-          incr sb_epoch;
-          let ep = !sb_epoch in
-          let nc = ref 1 in
-          sb_ind.(0) <- r;
-          sb_in.(r) <- ep;
-          sb.(r) <- 1.0;
-          List.iter
-            (fun e ->
-              let s = ref (e.edia *. sb.(e.er)) in
-              for k = 0 to Array.length e.eidx - 1 do
-                s := !s +. (e.evals.(k) *. sb.(e.eidx.(k)))
-              done;
-              let s = !s in
-              if sb_in.(e.er) = ep then sb.(e.er) <- s
-              else if s <> 0.0 then begin
-                sb_in.(e.er) <- ep;
-                sb_ind.(!nc) <- e.er;
-                incr nc;
-                sb.(e.er) <- s
-              end)
-            !etas;
-          (match !rho_n with
-          | -1 -> Array.fill rho 0 m 0.0
-          | n ->
-              for t2 = 0 to n - 1 do
-                rho.(rho_ind.(t2)) <- 0.0
-              done);
-          let skipping = !bt_skip > 0 in
-          let res =
-            if skipping then begin
-              decr bt_skip;
-              Array.fill cb 0 m 0.0;
-              for s2 = 0 to !nc - 1 do
-                let i = sb_ind.(s2) in
-                cb.(i) <- sb.(i)
-              done;
-              (match !ft with
-              | Some u -> Lu.Ft.btran_d u ~c:cb ~y:rho ~scratch
-              | None -> Lu.solve_t !lu ~c:cb ~y:rho ~scratch);
-              -1
-            end
-            else
-              match !ft with
-              | Some u ->
-                  Lu.Ft.btran_sp u ~nc:!nc ~cidx:sb_ind ~c:sb ~y:rho
-                    ~yind:rho_ind
-              | None ->
-                  Lu.solve_t_sp !lu sw ~nc:!nc ~cidx:sb_ind ~c:sb ~y:rho
-                    ~yind:rho_ind
-          in
-          for s2 = 0 to !nc - 1 do
-            sb.(sb_ind.(s2)) <- 0.0
-          done;
-          if res < 0 then begin
-            rho_n := -1;
-            incr c_btran_dn;
-            if not skipping then begin
-              incr bt_fail;
-              if !bt_fail >= af_trip then begin
-                bt_fail := 0;
-                bt_skip := af_hold
-              end
+        let t0 = clock () in
+        sb_ind.(0) <- r;
+        sb.(r) <- 1.0;
+        (match !rho_n with
+        | -1 -> Array.fill rho 0 m 0.0
+        | n ->
+            for t2 = 0 to n - 1 do
+              rho.(rho_ind.(t2)) <- 0.0
+            done);
+        let skipping = !bt_skip > 0 in
+        let res =
+          if skipping then begin
+            decr bt_skip;
+            Array.fill cb 0 m 0.0;
+            cb.(r) <- 1.0;
+            Lu.Ft.btran_d !ft ~c:cb ~y:rho ~scratch;
+            -1
+          end
+          else
+            Lu.Ft.btran_sp !ft ~nc:1 ~cidx:sb_ind ~c:sb ~y:rho ~yind:rho_ind
+        in
+        sb.(r) <- 0.0;
+        if res < 0 then begin
+          rho_n := -1;
+          incr c_btran_dn;
+          if not skipping then begin
+            incr bt_fail;
+            if !bt_fail >= af_trip then begin
+              bt_fail := 0;
+              bt_skip := af_hold
             end
           end
-          else begin
-            rho_n := res;
-            incr c_btran_sp;
-            bt_fail := 0
-          end;
-          t_btran := !t_btran +. clock () -. t0
-        end
-      in
-      let push_eta (w : float array) r =
-        let wr = w.(r) in
-        if !w_n < 0 then begin
-          let cnt = ref 0 in
-          for k = 0 to m - 1 do
-            if k <> r && Float.abs w.(k) > 1e-12 then incr cnt
-          done;
-          let eidx = Array.make !cnt 0 and evals = Array.make !cnt 0.0 in
-          let at = ref 0 in
-          for k = 0 to m - 1 do
-            if k <> r && Float.abs w.(k) > 1e-12 then begin
-              eidx.(!at) <- k;
-              evals.(!at) <- -.w.(k) /. wr;
-              incr at
-            end
-          done;
-          etas := { er = r; eidx; evals; edia = 1.0 /. wr } :: !etas;
-          incr n_etas
         end
         else begin
-          (* Same extraction restricted to the (sorted) support: entries
-             off the support are zero and fail the magnitude filter in
-             the dense scan too. *)
-          let cnt = ref 0 in
-          for t2 = 0 to !w_n - 1 do
-            let k = w_ind.(t2) in
-            if k <> r && Float.abs w.(k) > 1e-12 then incr cnt
-          done;
-          let eidx = Array.make !cnt 0 and evals = Array.make !cnt 0.0 in
-          let at = ref 0 in
-          for t2 = 0 to !w_n - 1 do
-            let k = w_ind.(t2) in
-            if k <> r && Float.abs w.(k) > 1e-12 then begin
-              eidx.(!at) <- k;
-              evals.(!at) <- -.w.(k) /. wr;
-              incr at
-            end
-          done;
-          etas := { er = r; eidx; evals; edia = 1.0 /. wr } :: !etas;
-          incr n_etas
-        end
+          rho_n := res;
+          incr c_btran_sp;
+          bt_fail := 0
+        end;
+        t_btran := !t_btran +. clock () -. t0
       in
       (* --- simplex iterations ------------------------------------------ *)
       let cost = Array.make cap 0.0 in
@@ -723,9 +471,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let bland = ref false in
       let degen = ref 0 in
       let price_cursor = ref 0 in
-      (* Row-major view of A, shared by dual-simplex pricing and the
-         devex pivot-row gather; reused across solves via [?analysis]
-         when the caller's matrix is unchanged. *)
+      (* Row-major view of A for dual-simplex pricing; reused across
+         solves via [?analysis] when the caller's matrix is unchanged. *)
       let arows_l =
         match analysis with
         | Some a -> lazy a.arows
@@ -803,21 +550,14 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             dc_j.(!t) <- j
           done
       in
-      (* Devex reference-framework pricing state: [dx] incrementally
-         maintained reduced costs, [dw] devex weights, [cand] the
-         current candidate list. *)
-      let dx = Array.make (if devex then cap else 0) 0.0 in
-      let dw = Array.make (if devex then cap else 0) 1.0 in
-      let cand = Array.make (if devex then cap else 0) 0 in
-      let ncand = ref 0 in
       (* Expensive per-pivot invariant check, enabled via LP_PARANOID. *)
       let paranoid = Sys.getenv_opt "LP_PARANOID" <> None in
       let check_invariants () =
         if paranoid then begin
           (* Recompute the basic point from a local fresh factorization
-             — the live [lu]/[etas]/[ft] state is never touched, so the
-             check composes with the Forrest–Tomlin workspace (whose
-             single [wsp] cannot back two factorizations at once). *)
+             — the live [ft] state is never touched, so the check
+             composes with the Forrest–Tomlin workspace (whose single
+             [wsp] cannot back two factorizations at once). *)
           let saved = Array.copy x_basic in
           let f = factor_basis () in
           Array.blit rhs_s 0 bwork 0 m;
@@ -870,26 +610,20 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         end
       in
       (* Record the just-executed pivot at position [r] in the working
-         factorization: a Forrest–Tomlin update (consuming the spike
-         kept by the entering column's FTRAN) or a product-form eta.  An
-         FT refusal — zero or uncertified border diagonal — leaves the
-         updated state unusable, and the basis arrays already reflect
-         the pivot, so refactorizing from the basis is the exact
-         recovery. *)
+         factorization: a Forrest–Tomlin update, consuming the spike kept
+         by the entering column's FTRAN.  An FT refusal — zero or
+         uncertified border diagonal — leaves the updated state unusable,
+         and the basis arrays already reflect the pivot, so
+         refactorizing from the basis is the exact recovery. *)
       let pivot_update (w : float array) r =
-        if not ftmode then push_eta w r
-        else if not (Lu.Ft.update (ft_u ()) ~pos:r ~wr:w.(r)) then
-          refactorize 0
+        if not (Lu.Ft.update !ft ~pos:r ~wr:w.(r)) then refactorize ()
         else incr c_ft_updates
       in
       (* Ratio test plus bound-flip/pivot for entering column [je] moving
-         in direction [s].  Shared by classic and devex pricing.
-         [on_pivot ~r] runs after the leaving row [r] is chosen but
-         before any basis or eta mutation, so devex can price the pivot
-         row against the pre-pivot basis. *)
-      let enter_column ?(on_pivot = fun ~r:_ -> ()) je s =
+         in direction [s]. *)
+      let enter_column je s =
         let res = ref `Ok in
-        ftran ~keep_spike:true je;
+        ftran je;
         let tratio0 = clock () in
         (* Two-pass Harris ratio test, scanned over [w]'s support (the
            dense pass skips zero entries through the same magnitude
@@ -971,7 +705,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
            else begin
              let r = !leave in
              let t = t_leave in
-             on_pivot ~r;
              for ti = 0 to sup_n - 1 do
                let k = if !w_n < 0 then ti else w_ind.(ti) in
                x_basic.(k) <- x_basic.(k) -. (s *. t *. w.(k))
@@ -993,13 +726,13 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         end;
         !res
       in
-      let run_phase_classic () =
+      let run_phase () =
         let outcome = ref `Run in
         while !outcome = `Run do
           if !iters >= max_iter then outcome := `Iter_limit
           else begin
             incr iters;
-            if need_refactor () then refactorize 0;
+            if need_refactor () then refactorize ();
             for k = 0 to m - 1 do
               cb.(k) <- cost.(basis.(k))
             done;
@@ -1079,310 +812,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         done;
         !outcome
       in
-      (* --- devex candidate-list pricing --------------------------------
-         Reduced costs [dx] are maintained incrementally (a pivot with
-         dual step theta moves d_j by -theta * alpha_j, and alpha is
-         gathered over the pivot row's support only), so iterations skip
-         both the per-iteration BTRAN and the full matrix re-pricing.
-         Entering picks maximize d_j^2 / dw_j over a candidate list;
-         when the list runs dry it is refreshed from the maintained
-         costs, and optimality is only ever declared after an exact
-         recompute reproduces the classic full-scan test.  Degeneracy
-         falls back to Bland's rule exactly as the classic loop does. *)
-      let recompute_dx () =
-        for k = 0 to m - 1 do
-          cb.(k) <- cost.(basis.(k))
-        done;
-        btran cb y;
-        let total = ntot () in
-        for j = 0 to total - 1 do
-          dx.(j) <- (if where.(j) >= 0 then 0.0 else cost.(j) -. col_dot j y)
-        done
-      in
-      (* Rebuild the candidate list: the [cand_k] best eligible columns
-         by devex score (score-desc, index-asc — a total order, so the
-         kept set never depends on scan order).  A bounded min-heap
-         keyed on the worst kept candidate selects the top [cand_k] in
-         O(n log k) without allocating. *)
-      let cand_k = max 16 (min 512 ((nv + m) / 8)) in
-      let hs = Array.make (if devex then cand_k else 0) 0.0 in
-      let hj = Array.make (if devex then cand_k else 0) 0 in
-      let refresh_candidates () =
-        incr c_refreshes;
-        let total = ntot () in
-        let hn = ref 0 in
-        (* 'worse' = lower score, then higher column index *)
-        let worse (s1 : float) (j1 : int) s2 j2 =
-          s1 < s2 || (s1 = s2 && j1 > j2)
-        in
-        let hswap a b =
-          let ts = hs.(a) in
-          hs.(a) <- hs.(b);
-          hs.(b) <- ts;
-          let tj = hj.(a) in
-          hj.(a) <- hj.(b);
-          hj.(b) <- tj
-        in
-        let sift_up k0 =
-          let k = ref k0 in
-          while
-            !k > 0
-            && worse hs.(!k) hj.(!k) hs.((!k - 1) / 2) hj.((!k - 1) / 2)
-          do
-            hswap !k ((!k - 1) / 2);
-            k := (!k - 1) / 2
-          done
-        in
-        let sift_down () =
-          let i = ref 0 in
-          let moving = ref true in
-          while !moving do
-            let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-            let w = ref !i in
-            if l < !hn && worse hs.(l) hj.(l) hs.(!w) hj.(!w) then w := l;
-            if r < !hn && worse hs.(r) hj.(r) hs.(!w) hj.(!w) then w := r;
-            if !w = !i then moving := false
-            else begin
-              hswap !i !w;
-              i := !w
-            end
-          done
-        in
-        for j = 0 to total - 1 do
-          if where.(j) < 0 && lo.(j) < hi.(j) then begin
-            let d = dx.(j) in
-            let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
-            let ok =
-              match nb_at.(j) with
-              | 'l' -> d < -.tol
-              | 'u' -> d > tol
-              | _ -> d < -.tol || d > tol
-            in
-            if ok then begin
-              let sc = d *. d /. dw.(j) in
-              if !hn < cand_k then begin
-                hs.(!hn) <- sc;
-                hj.(!hn) <- j;
-                sift_up !hn;
-                incr hn
-              end
-              else if worse hs.(0) hj.(0) sc j then begin
-                hs.(0) <- sc;
-                hj.(0) <- j;
-                sift_down ()
-              end
-            end
-          end
-        done;
-        ncand := !hn;
-        Array.blit hj 0 cand 0 !hn
-      in
-      (* Best still-eligible candidate from the list, by current scores;
-         returns (-1, _) when the list has gone stale or empty. *)
-      let pick_candidate () =
-        let best_j = ref (-1) and best_sc = ref 0.0 and best_dir = ref 1.0 in
-        for c = 0 to !ncand - 1 do
-          let j = cand.(c) in
-          if where.(j) < 0 && lo.(j) < hi.(j) then begin
-            let d = dx.(j) in
-            let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
-            let dir =
-              match nb_at.(j) with
-              | 'l' -> if d < -.tol then 1.0 else 0.0
-              | 'u' -> if d > tol then -1.0 else 0.0
-              | _ -> if d < -.tol then 1.0 else if d > tol then -1.0 else 0.0
-            in
-            if dir <> 0.0 then begin
-              let sc = d *. d /. dw.(j) in
-              if
-                sc > !best_sc
-                || (sc = !best_sc && !best_j >= 0 && j < !best_j)
-              then begin
-                best_j := j;
-                best_sc := sc;
-                best_dir := dir
-              end
-            end
-          end
-        done;
-        (!best_j, !best_dir)
-      in
-      let devex_reset () =
-        Array.fill dw 0 (Array.length dw) 1.0;
-        incr c_devex_resets
-      in
-      (* Pivot hook: update [dx] and the devex weights from the pivot
-         row.  Runs pre-pivot (je still nonbasic, basis.(r) still
-         basic); alpha_je equals w.(r). *)
-      let d_stale = ref true in
-      let devex_update je ~r =
-        let wr = w.(r) in
-        if Float.abs wr < 1e-9 then d_stale := true
-        else begin
-          let theta = dx.(je) /. wr in
-          let gq = if dw.(je) > 1.0 then dw.(je) else 1.0 in
-          let wr2 = wr *. wr in
-          btran_unit r rho;
-          let arows = Lazy.force arows_l in
-          let ntouched = ref 0 in
-          let touch j =
-            if stamp.(j) <> !iters then begin
-              stamp.(j) <- !iters;
-              alpha_acc.(j) <- 0.0;
-              touched.(!ntouched) <- j;
-              incr ntouched
-            end
-          in
-          let rsup_n = if !rho_n < 0 then m else !rho_n in
-          for rt = 0 to rsup_n - 1 do
-            let i = if !rho_n < 0 then rt else rho_ind.(rt) in
-            let ri = rho.(i) in
-            if Float.abs ri > 1e-12 then begin
-              let js = nv + i in
-              touch js;
-              alpha_acc.(js) <- alpha_acc.(js) +. ri;
-              for k = arows.Sparse.Csc.rowptr.(i)
-                  to arows.Sparse.Csc.rowptr.(i + 1) - 1
-              do
-                let j = arows.Sparse.Csc.colind.(k) in
-                touch j;
-                alpha_acc.(j) <-
-                  alpha_acc.(j) +. (ri *. arows.Sparse.Csc.rvalues.(k))
-              done
-            end
-          done;
-          for tk = 0 to !ntouched - 1 do
-            let j = touched.(tk) in
-            if where.(j) < 0 then begin
-              let a = alpha_acc.(j) in
-              dx.(j) <- dx.(j) -. (theta *. a);
-              let wj = a *. a /. wr2 *. gq in
-              if wj > dw.(j) then dw.(j) <- wj
-            end
-          done;
-          (* Artificial columns are unit columns, invisible to the CSR
-             gather. *)
-          for k2 = 0 to !nart - 1 do
-            let aj = nv + m + k2 in
-            if where.(aj) < 0 then begin
-              let a = art_sig.(k2) *. rho.(art_row.(k2)) in
-              if a <> 0.0 then begin
-                dx.(aj) <- dx.(aj) -. (theta *. a);
-                let wj = a *. a /. wr2 *. gq in
-                if wj > dw.(aj) then dw.(aj) <- wj
-              end
-            end
-          done;
-          dx.(je) <- 0.0;
-          let b = basis.(r) in
-          dx.(b) <- -.theta;
-          dw.(b) <- (let v = gq /. wr2 in
-                     if v > 1.0 then v else 1.0);
-          if gq > 1e8 || dw.(b) > 1e8 then devex_reset ()
-        end
-      in
-      let run_phase_devex () =
-        let outcome = ref `Run in
-        d_stale := true;
-        devex_reset ();
-        (* the phase-entry framework reset is bookkeeping, not a
-           degeneracy event *)
-        decr c_devex_resets;
-        while !outcome = `Run do
-          if !iters >= max_iter then outcome := `Iter_limit
-          else begin
-            incr iters;
-            (* Refactorization replaces the eta file but leaves the basis
-               — and therefore the reduced costs — untouched, so the
-               incrementally maintained [dx] stays valid.  Numerical
-               drift is caught by the exact optimality certification. *)
-            if need_refactor () then refactorize 0;
-            if !bland then begin
-              (* Bland's rule on exact reduced costs, as the classic
-                 loop: lowest-index eligible column enters. *)
-              recompute_dx ();
-              let total = ntot () in
-              let je = ref (-1) and s = ref 1.0 in
-              let j = ref 0 in
-              while !j < total && !je < 0 do
-                let jj = !j in
-                if where.(jj) < 0 && lo.(jj) < hi.(jj) then begin
-                  let d = dx.(jj) in
-                  let tol = opt_tol *. (1.0 +. Float.abs cost.(jj)) in
-                  match nb_at.(jj) with
-                  | 'l' ->
-                      if d < -.tol then begin
-                        je := jj;
-                        s := 1.0
-                      end
-                  | 'u' ->
-                      if d > tol then begin
-                        je := jj;
-                        s := -1.0
-                      end
-                  | _ ->
-                      if d < -.tol then begin
-                        je := jj;
-                        s := 1.0
-                      end
-                      else if d > tol then begin
-                        je := jj;
-                        s := -1.0
-                      end
-                end;
-                incr j
-              done;
-              if !je < 0 then outcome := `Phase_done
-              else begin
-                d_stale := true;
-                match enter_column !je !s with
-                | `Unbounded -> outcome := `Unbounded
-                | `Ok -> ()
-              end
-            end
-            else begin
-              let tprice0 = clock () in
-              if !d_stale then begin
-                recompute_dx ();
-                d_stale := false;
-                refresh_candidates ()
-              end;
-              let je, s =
-                let je, s = pick_candidate () in
-                if je >= 0 then (je, s)
-                else begin
-                  refresh_candidates ();
-                  let je, s = pick_candidate () in
-                  if je >= 0 then (je, s)
-                  else begin
-                    (* exact certification: only the classic full-scan
-                       test on freshly computed reduced costs may end
-                       the phase *)
-                    recompute_dx ();
-                    d_stale := false;
-                    refresh_candidates ();
-                    pick_candidate ()
-                  end
-                end
-              in
-              t_price := !t_price +. clock () -. tprice0;
-              if je < 0 then outcome := `Phase_done
-              else begin
-                match enter_column ~on_pivot:(devex_update je) je s with
-                | `Unbounded -> outcome := `Unbounded
-                | `Ok -> ()
-              end
-            end
-          end
-        done;
-        !outcome
-      in
-      (* Devex reference weights are calibrated to the phase objective;
-         the phase-1 artificial objective is so degenerate that devex
-         mostly churns there, so phase 1 always prices classically. *)
-      let run_phase ?(p1 = false) () =
-        if devex && not p1 then run_phase_devex () else run_phase_classic ()
-      in
       (* --- dual simplex (warm re-solves) -------------------------------
          Invariant: nonbasic reduced costs are dual-feasible (repaired on
          entry); basic variables may violate their bounds.  Each iteration
@@ -1427,7 +856,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             incr iters;
             incr dual_pivots;
             if need_refactor () then begin
-              refactorize 0;
+              refactorize ();
               recompute_d ()
             end;
             (* leaving row: largest primal bound violation *)
@@ -1571,64 +1000,43 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                   done;
                   !best_j
                 in
-                (if !nflip > 0 then
-                   (* flips are applied newest-first, matching the
-                      prepend order the list implementation used, so the
-                      accumulation order (and its rounding) is
-                      unchanged *)
-                   if not hyper then begin
-                     Array.fill bwork 0 m 0.0;
-                     for f = !nflip - 1 downto 0 do
-                       let j = df_j.(f) and delta = df_delta.(f) in
-                       col_iter j (fun i v ->
-                           bwork.(i) <- bwork.(i) +. (delta *. v))
-                     done;
-                     (match !ft with
-                     | Some u ->
-                         Lu.Ft.ftran_d u ~keep_spike:false ~b:bwork ~x:w
-                           ~scratch
-                     | None -> Lu.solve !lu ~b:bwork ~x:w ~scratch);
-                     w_n := -1;
-                     incr c_ftran_dn;
-                     apply_etas_to_w ();
-                     for k = 0 to m - 1 do
-                       x_basic.(k) <- x_basic.(k) -. w.(k)
-                     done
-                   end
-                   else begin
-                     (* combined flip delta is sparse: build it on the
-                        stamped scratch (columns may share rows) and
-                        update x_basic over the solve's support *)
-                     incr sb_epoch;
-                     let ep = !sb_epoch in
-                     let nb = ref 0 in
-                     for f = !nflip - 1 downto 0 do
-                       let j = df_j.(f) and delta = df_delta.(f) in
-                       col_iter j (fun i v ->
-                           if sb_in.(i) <> ep then begin
-                             sb_in.(i) <- ep;
-                             sb_ind.(!nb) <- i;
-                             incr nb
-                           end;
-                           sb.(i) <- sb.(i) +. (delta *. v))
-                     done;
-                     let nb0 = !nb in
-                     solve_into_w nb0;
-                     for s2 = 0 to nb0 - 1 do
-                       sb.(sb_ind.(s2)) <- 0.0
-                     done;
-                     let sup_n = if !w_n < 0 then m else !w_n in
-                     for ti = 0 to sup_n - 1 do
-                       let k = if !w_n < 0 then ti else w_ind.(ti) in
-                       x_basic.(k) <- x_basic.(k) -. w.(k)
-                     done
-                   end);
-                  ftran ~keep_spike:true je;
+                if !nflip > 0 then begin
+                  (* The combined flip delta is sparse: build it on the
+                     stamped scratch (columns may share rows) and update
+                     x_basic over the solve's support.  Flips are applied
+                     newest-first, matching the prepend order the list
+                     implementation used, so the accumulation order (and
+                     its rounding) is unchanged. *)
+                  incr sb_epoch;
+                  let ep = !sb_epoch in
+                  let nb = ref 0 in
+                  for f = !nflip - 1 downto 0 do
+                    let j = df_j.(f) and delta = df_delta.(f) in
+                    col_iter j (fun i v ->
+                        if sb_in.(i) <> ep then begin
+                          sb_in.(i) <- ep;
+                          sb_ind.(!nb) <- i;
+                          incr nb
+                        end;
+                        sb.(i) <- sb.(i) +. (delta *. v))
+                  done;
+                  let nb0 = !nb in
+                  solve_into_w ~keep_spike:false nb0;
+                  for s2 = 0 to nb0 - 1 do
+                    sb.(sb_ind.(s2)) <- 0.0
+                  done;
+                  let sup_n = if !w_n < 0 then m else !w_n in
+                  for ti = 0 to sup_n - 1 do
+                    let k = if !w_n < 0 then ti else w_ind.(ti) in
+                    x_basic.(k) <- x_basic.(k) -. w.(k)
+                  done
+                end;
+                  ftran je;
                   if Float.abs w.(r) < 1e-8 then begin
                     (* numerically unusable pivot: rebuild the
                        factorization once and retry the iteration *)
                     incr bad_pivots;
-                    refactorize 0;
+                    refactorize ();
                     recompute_d ();
                     if !bad_pivots > 3 then begin
                       if stats_on then
@@ -1684,7 +1092,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             for k = 0 to !nart - 1 do
               cost.(nv + m + k) <- 1.0
             done;
-            (match run_phase ~p1:true () with
+            (match run_phase () with
             | `Phase_done ->
                 let infeas = ref 0.0 in
                 for k = 0 to m - 1 do
@@ -1816,33 +1224,26 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       (* The reported solution must depend only on the final basis, never
          on the pivot path that reached it: a warm re-solve ending at the
          same basis as a cold solve has to agree to the last bit.  Sort
-         the basis into canonical (column-index) order, drop the eta file
-         by refactorizing, and recompute the primal point from the fresh
-         factors. *)
+         the basis into canonical (column-index) order, drop the update
+         file by refactorizing, and recompute the primal point from the
+         fresh factors. *)
       if !status = Optimal then begin
         Array.sort Int.compare basis;
         for k = 0 to m - 1 do
           where.(basis.(k)) <- k
         done;
-        refactorize 0
+        refactorize ()
       end;
-      (match !ft with
-      | Some u ->
-          if Lu.Ft.fill_hwm u > !fill_max then fill_max := Lu.Ft.fill_hwm u
-      | None -> ());
+      if Lu.Ft.fill_hwm !ft > !fill_max then fill_max := Lu.Ft.fill_hwm !ft;
       if stats_on then
         Printf.eprintf
           "LP_STATS: iters=%d factor=%.2fs (%d, avg nnz %d) ftran=%.2fs \
-           btran=%.2fs price=%.2fs ratio+update=%.2fs %s\n\
+           btran=%.2fs price=%.2fs ratio+update=%.2fs ft_updates=%d \
+           fill_max=%.2f\n\
            %!"
           !iters !t_factor !n_factor
           (if !n_factor > 0 then !lu_nnz_total / !n_factor else 0)
-          !t_ftran !t_btran !t_price !t_ratio
-          (if ftmode then
-             Printf.sprintf "ft_updates=%d fill_max=%.2f cap=%d limit=%g%s"
-               !c_ft_updates !fill_max ft_cap refac_lim
-               (if small then " mode=small-dense" else "")
-           else Printf.sprintf "etas_max=%d" eta_max);
+          !t_ftran !t_btran !t_price !t_ratio !c_ft_updates !fill_max;
       let x = Array.make nv 0.0 in
       for j = 0 to nv - 1 do
         if where.(j) >= 0 then x.(j) <- x_basic.(where.(j)) else x.(j) <- nbval j
@@ -1883,10 +1284,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         ~factors:!n_factor
         ~wall:(Unix.gettimeofday () -. t_solve0);
       Stats.note_kernels ~ftran_sp:!c_ftran_sp ~ftran_dn:!c_ftran_dn
-        ~btran_sp:!c_btran_sp ~btran_dn:!c_btran_dn ~resets:!c_devex_resets
-        ~refreshes:!c_refreshes;
-      Stats.note_ft ~updates:!c_ft_updates ~fill_max:!fill_max
-        ~small_dense:(if small then 1 else 0);
+        ~btran_sp:!c_btran_sp ~btran_dn:!c_btran_dn;
+      Stats.note_ft ~updates:!c_ft_updates ~fill_max:!fill_max;
       {
         status = !status;
         objective = Model.objective_value p x;

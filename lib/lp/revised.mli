@@ -1,16 +1,16 @@
 (** Bounded-variable revised simplex with sparse basis factorization
-    ({!Lu}) and product-form (eta) updates.
+    ({!Lu}) and Forrest–Tomlin updates ({!Lu.Ft}).
 
-    FTRAN/BTRAN run hypersparse by default: the triangular solves visit
-    only the symbolic reachability set of the right-hand side's nonzeros
-    ({!Lu.solve_sp}/{!Lu.solve_t_sp}), with an adaptive fallback to the
-    dense kernels when the result fills in.  Pricing is devex
-    reference-framework pricing over a candidate list (incrementally
-    maintained reduced costs; optimality certified by an exact full
-    scan), with an automatic switch to (full-scan) Bland's rule after a
+    Every LP takes one path.  FTRAN/BTRAN run hypersparse: the
+    triangular solves visit only the symbolic reachability set of the
+    right-hand side's nonzeros ({!Lu.Ft.ftran_sp}/{!Lu.Ft.btran_sp}),
+    with an adaptive fallback to the dense kernels when the result fills
+    in.  Pricing is Dantzig's rule over a rotating partial-pricing
+    window, with an automatic switch to (full-scan) Bland's rule after a
     run of degenerate pivots; the ratio test is a two-pass Harris test.
     Infeasible starting points are repaired by a phase-1 objective over
-    artificial variables.
+    artificial variables.  The basis is refactorized when the
+    Forrest–Tomlin fill ratio exceeds 2.0 or after 256 updates.
 
     Re-solves of the same problem with different bounds or RHS can be
     warm-started: pass a previous result's {!type:basis} as [?warm] and
@@ -19,16 +19,12 @@
     instead of the cold phase-1/2 path.  Any irreparable warm state falls
     back to a cold solve, so warm calls are never less robust.
 
-    Environment knobs: [POWERLIM_DEVEX=0] restores the classic Dantzig
-    partial-pricing loop (bit-identical to the pre-devex solver);
-    [POWERLIM_HYPERSPARSE=0] forces the dense FTRAN/BTRAN kernels;
-    [POWERLIM_ETA_LIMIT] (default 64) sets the eta-file length that
-    triggers refactorization.  [LP_PARANOID] enables expensive per-pivot
-    invariant checks (each pivot verified against a fresh factorization);
-    [LP_DUMP_BASIS=<path>] dumps the first offending basis;
-    [LP_STATS] prints a per-solve phase-time breakdown to stderr.
-    Aggregate counters (cold/warm solves, primal/dual pivots, kernel
-    sparse/dense splits, wall time) are accumulated in {!Stats}. *)
+    Debugging aids: [LP_PARANOID] enables expensive per-pivot invariant
+    checks (each pivot verified against a fresh factorization);
+    [LP_DUMP_BASIS=<path>] dumps the first offending basis; [LP_STATS]
+    prints a per-solve phase-time breakdown to stderr.  Aggregate
+    counters (cold/warm solves, primal/dual pivots, kernel sparse/dense
+    splits, wall time) are accumulated in {!Stats}. *)
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 
@@ -64,12 +60,6 @@ type analysis
     stays valid.  Immutable: safe to share across pool domains. *)
 
 val make_analysis : Model.problem -> analysis
-
-val refactor_limit : unit -> float
-(** Effective Forrest–Tomlin refactorization fill-ratio trigger:
-    [POWERLIM_REFACTOR] when set to a finite value [> 1.0], else the
-    default [2.0].  Exposed so tests can pin the documented default
-    against the code. *)
 
 val solve :
   ?max_iter:int ->

@@ -22,8 +22,6 @@ type snapshot = {
   ftran_dense : int;  (** FTRANs that fell back to (or forced) dense *)
   btran_sparse : int;
   btran_dense : int;
-  devex_resets : int;  (** devex reference-framework re-initializations *)
-  cand_refreshes : int;  (** full pricing scans rebuilding the candidate list *)
   edit_solves : int;  (** incremental re-solves through {!Edit.resolve} *)
   edit_warm : int;  (** edit re-solves whose basis mapping succeeded *)
   edit_fallbacks : int;
@@ -32,7 +30,6 @@ type snapshot = {
   refactorizations : int;  (** alias of [factorizations] *)
   fill_ratio_max : float;  (** worst Forrest–Tomlin fill ratio (process max) *)
   scale_passes : int;  (** equilibration passes run by {!Presolve} *)
-  small_dense_solves : int;  (** solves on the small-instance dense path *)
   obj_mode_switches : int;
       (** prepared handles switched between objective modes
           ({!Core.Event_lp.switch_objective}) *)
@@ -54,14 +51,11 @@ let ftran_sparse = Atomic.make 0
 let ftran_dense = Atomic.make 0
 let btran_sparse = Atomic.make 0
 let btran_dense = Atomic.make 0
-let devex_resets = Atomic.make 0
-let cand_refreshes = Atomic.make 0
 let edit_solves = Atomic.make 0
 let edit_warm = Atomic.make 0
 let edit_fallbacks = Atomic.make 0
 let ft_updates = Atomic.make 0
 let scale_passes = Atomic.make 0
-let small_dense_solves = Atomic.make 0
 let obj_mode_switches = Atomic.make 0
 let reclaim_passes = Atomic.make 0
 let wall_ns = Atomic.make 0
@@ -100,14 +94,11 @@ let reset () =
       ftran_dense;
       btran_sparse;
       btran_dense;
-      devex_resets;
-      cand_refreshes;
       edit_solves;
       edit_warm;
       edit_fallbacks;
       ft_updates;
       scale_passes;
-      small_dense_solves;
       obj_mode_switches;
       reclaim_passes;
       wall_ns;
@@ -134,17 +125,14 @@ let note_solve ~warm ~iterations ~dual ~flips ~factors ~wall =
 
 (* Kernel-level counters are accumulated locally per solve (the hot
    loops must not touch shared cache lines) and flushed here once. *)
-let note_kernels ~ftran_sp ~ftran_dn ~btran_sp ~btran_dn ~resets ~refreshes =
+let note_kernels ~ftran_sp ~ftran_dn ~btran_sp ~btran_dn =
   ignore (Atomic.fetch_and_add ftran_sparse ftran_sp);
   ignore (Atomic.fetch_and_add ftran_dense ftran_dn);
   ignore (Atomic.fetch_and_add btran_sparse btran_sp);
-  ignore (Atomic.fetch_and_add btran_dense btran_dn);
-  ignore (Atomic.fetch_and_add devex_resets resets);
-  ignore (Atomic.fetch_and_add cand_refreshes refreshes)
+  ignore (Atomic.fetch_and_add btran_dense btran_dn)
 
-let note_ft ~updates ~fill_max ~small_dense =
+let note_ft ~updates ~fill_max =
   ignore (Atomic.fetch_and_add ft_updates updates);
-  ignore (Atomic.fetch_and_add small_dense_solves small_dense);
   note_fill_ratio fill_max
 
 let note_scale_pass () = ignore (Atomic.fetch_and_add scale_passes 1)
@@ -174,8 +162,6 @@ let snapshot () =
     ftran_dense = Atomic.get ftran_dense;
     btran_sparse = Atomic.get btran_sparse;
     btran_dense = Atomic.get btran_dense;
-    devex_resets = Atomic.get devex_resets;
-    cand_refreshes = Atomic.get cand_refreshes;
     edit_solves = Atomic.get edit_solves;
     edit_warm = Atomic.get edit_warm;
     edit_fallbacks = Atomic.get edit_fallbacks;
@@ -183,7 +169,6 @@ let snapshot () =
     refactorizations = Atomic.get factorizations;
     fill_ratio_max = Atomic.get fill_ratio_max_a;
     scale_passes = Atomic.get scale_passes;
-    small_dense_solves = Atomic.get small_dense_solves;
     obj_mode_switches = Atomic.get obj_mode_switches;
     reclaim_passes = Atomic.get reclaim_passes;
     reclaimed_joules_pct =
@@ -212,8 +197,6 @@ let () =
           ("ftran_dense", Putil.Obs.Int s.ftran_dense);
           ("btran_sparse", Putil.Obs.Int s.btran_sparse);
           ("btran_dense", Putil.Obs.Int s.btran_dense);
-          ("devex_resets", Putil.Obs.Int s.devex_resets);
-          ("cand_refreshes", Putil.Obs.Int s.cand_refreshes);
           ("edit_solves", Putil.Obs.Int s.edit_solves);
           ("edit_warm", Putil.Obs.Int s.edit_warm);
           ("edit_fallbacks", Putil.Obs.Int s.edit_fallbacks);
@@ -221,7 +204,6 @@ let () =
           ("refactorizations", Putil.Obs.Int s.refactorizations);
           ("fill_ratio_max", Putil.Obs.Float s.fill_ratio_max);
           ("scale_passes", Putil.Obs.Int s.scale_passes);
-          ("small_dense_solves", Putil.Obs.Int s.small_dense_solves);
           ("obj_mode_switches", Putil.Obs.Int s.obj_mode_switches);
           ("reclaim_passes", Putil.Obs.Int s.reclaim_passes);
           ("reclaimed_joules_pct", Putil.Obs.Float s.reclaimed_joules_pct);

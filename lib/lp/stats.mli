@@ -20,8 +20,6 @@ type snapshot = {
   ftran_dense : int;  (** FTRANs that fell back to (or forced) dense *)
   btran_sparse : int;
   btran_dense : int;
-  devex_resets : int;  (** devex reference-framework re-initializations *)
-  cand_refreshes : int;  (** full pricing scans rebuilding the candidate list *)
   edit_solves : int;  (** incremental re-solves through {!Edit.resolve} *)
   edit_warm : int;  (** edit re-solves whose basis mapping succeeded *)
   edit_fallbacks : int;
@@ -35,8 +33,6 @@ type snapshot = {
       (** worst Forrest–Tomlin fill ratio observed (process max) *)
   scale_passes : int;
       (** geometric-mean equilibration passes run by {!Presolve} *)
-  small_dense_solves : int;
-      (** solves routed through the small-instance dense classic path *)
   obj_mode_switches : int;
       (** prepared handles switched between objective modes
           ({!Core.Event_lp.switch_objective}) *)
@@ -71,21 +67,13 @@ val note_solve :
   unit
 
 val note_kernels :
-  ftran_sp:int ->
-  ftran_dn:int ->
-  btran_sp:int ->
-  btran_dn:int ->
-  resets:int ->
-  refreshes:int ->
-  unit
-(** Flush per-solve kernel/pricing tallies (sparse-vs-dense FTRAN/BTRAN
-    counts, devex resets, candidate-list refreshes) into the process
+  ftran_sp:int -> ftran_dn:int -> btran_sp:int -> btran_dn:int -> unit
+(** Flush per-solve sparse-vs-dense FTRAN/BTRAN counts into the process
     counters in one shot, keeping atomics off the solver hot loops. *)
 
-val note_ft : updates:int -> fill_max:float -> small_dense:int -> unit
-(** Flush one solve's Forrest–Tomlin tallies: update count, worst fill
-    ratio seen (folded into the process max), and whether the solve ran
-    on the small-instance dense path. *)
+val note_ft : updates:int -> fill_max:float -> unit
+(** Flush one solve's Forrest–Tomlin tallies: update count and worst
+    fill ratio seen (folded into the process max). *)
 
 val note_scale_pass : unit -> unit
 (** Count one equilibration pass (called by {!Presolve}). *)

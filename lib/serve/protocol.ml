@@ -78,26 +78,33 @@ let perturb_of_json j =
       power = req "power";
     }
 
+(* The CLI's range checks (bin/powerlim.ml): a count is >= 1, a cap or
+   deadline > 0 (which also rejects NaN). *)
+let count name ~default j =
+  let n = Option.value ~default (Json.get_int name j) in
+  if n < 1 then err "field %S must be an integer >= 1 (got %d)" name n;
+  n
+
+let positive name j =
+  Option.map
+    (fun x ->
+      if not (x > 0.0) then err "field %S must be a number > 0 (got %g)" name x;
+      x)
+    (Json.get_float name j)
+
 (* CLI defaults (bin/powerlim.ml): ranks 16, iters 10, seed 42, app
    comd, cap 40 W/socket. *)
 let op_of_json j =
-  let ranks = Option.value ~default:16 (Json.get_int "ranks" j) in
-  let iters = Option.value ~default:10 (Json.get_int "iters" j) in
+  let ranks = count "ranks" ~default:16 j in
+  let iters = count "iters" ~default:10 j in
   let seed = Option.value ~default:42 (Json.get_int "seed" j) in
-  let cap = Option.value ~default:40.0 (Json.get_float "cap" j) in
+  let cap = Option.value ~default:40.0 (positive "cap" j) in
+  let deadline = positive "deadline" j in
   match Json.get_string "op" j with
   | None -> err "request needs field \"op\""
   | Some "sweep" -> Sweep { ranks; iters; seed }
   | Some "energy" ->
-      Energy
-        {
-          app = app_of_json j;
-          ranks;
-          iters;
-          seed;
-          cap;
-          deadline = Json.get_float "deadline" j;
-        }
+      Energy { app = app_of_json j; ranks; iters; seed; cap; deadline }
   | Some "what-if" ->
       let edits =
         List.map (fun r -> Core.Event_lp.Fail_socket r)

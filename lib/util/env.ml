@@ -31,14 +31,11 @@ let reset_warnings () =
 
 (* The empty string counts as unset everywhere: [Unix.putenv] cannot
    remove a variable, so tests and in-process benchmarks set "" to hand
-   a knob back to its default (convention established for the kernel
-   knobs in DESIGN.md section 14). *)
+   a knob back to its default. *)
 let lookup name =
   match Sys.getenv_opt name with
   | None -> None
   | Some v -> ( match String.trim v with "" -> None | v -> Some v)
-
-let explicit name = lookup name <> None
 
 let flag name ~default =
   match lookup name with
@@ -52,47 +49,13 @@ let flag name ~default =
         ~default_s:(string_of_bool default);
       default
 
-let range_s ~what lo hi =
-  match (lo, hi) with
-  | Some lo, Some hi -> Printf.sprintf "%s in [%s, %s]" what lo hi
-  | Some lo, None -> Printf.sprintf "%s >= %s" what lo
-  | None, Some hi -> Printf.sprintf "%s <= %s" what hi
-  | None, None -> what
-
-let int ?lo ?hi name ~default =
+let int name ~default =
   match lookup name with
   | None -> default
   | Some v -> (
-      let ok n =
-        (match lo with Some l -> n >= l | None -> true)
-        && match hi with Some h -> n <= h | None -> true
-      in
       match int_of_string_opt v with
-      | Some n when ok n -> n
-      | _ ->
-          warn_once name ~value:v
-            ~expected:
-              (range_s ~what:"an integer"
-                 (Option.map string_of_int lo)
-                 (Option.map string_of_int hi))
+      | Some n -> n
+      | None ->
+          warn_once name ~value:v ~expected:"an integer"
             ~default_s:(string_of_int default);
-          default)
-
-let float ?lo_exclusive name ~default =
-  match lookup name with
-  | None -> default
-  | Some v -> (
-      let ok f =
-        Float.is_finite f
-        && match lo_exclusive with Some l -> f > l | None -> true
-      in
-      match float_of_string_opt v with
-      | Some f when ok f -> f
-      | _ ->
-          warn_once name ~value:v
-            ~expected:
-              (range_s ~what:"a finite float"
-                 (Option.map (Printf.sprintf "(exclusive) %g") lo_exclusive)
-                 None)
-            ~default_s:(Printf.sprintf "%g" default);
           default)

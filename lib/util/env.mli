@@ -5,11 +5,11 @@
     - unset or empty ([""], after trimming whitespace) means {e use the
       default} — [Unix.putenv] cannot remove a variable, so the empty
       value is the portable way for tests and in-process benchmarks to
-      return a knob to auto;
-    - a malformed or out-of-range value is {e rejected}: the default is
-      used and a warning naming the variable, the rejected value and
-      the default is printed to stderr {e once per process per
-      variable} (so a knob read on every solve does not spam);
+      return a knob to its default;
+    - a malformed value is {e rejected}: the default is used and a
+      warning naming the variable, the rejected value and the default
+      is printed to stderr {e once per process per variable} (so a knob
+      read on every solve does not spam);
     - flags accept [0]/[false]/[off]/[no] and [1]/[true]/[on]/[yes],
       case-insensitively.
 
@@ -18,16 +18,9 @@
 
 val flag : string -> default:bool -> bool
 
-val int : ?lo:int -> ?hi:int -> string -> default:int -> int
-(** Bounds are inclusive; a parsed value outside them is rejected. *)
-
-val float : ?lo_exclusive:float -> string -> default:float -> float
-(** Non-finite values are always rejected; [lo_exclusive] additionally
-    requires the value to be strictly greater. *)
-
-val explicit : string -> bool
-(** The variable is set to a non-empty value (regardless of validity):
-    distinguishes "user chose something" from "auto mode". *)
+val int : string -> default:int -> int
+(** Range checks belong to the caller: [POWERLIM_JOBS], the one integer
+    knob, clamps its own value. *)
 
 val rejected : unit -> (string * string) list
 (** [(name, value)] of every knob rejection warned so far, oldest

@@ -129,7 +129,30 @@ let test_protocol_rejects () =
   rejects "{\"id\":1,\"op\":\"swep\"}";
   rejects "{\"id\":1,\"op\":\"energy\",\"app\":\"nosuchapp\"}";
   rejects "{\"id\":1,\"op\":\"what-if\",\"perturb_tasks\":[{\"tid\":1}]}";
-  rejects "not json at all"
+  rejects "not json at all";
+  (* out-of-range scenario parameters, with the CLI's bounds: the
+     error names the field *)
+  let rejects_field field s =
+    match parse s with
+    | _ -> Alcotest.failf "%S must be rejected" s
+    | exception Serve.Json.Error msg ->
+        let quoted = Printf.sprintf "%S" field in
+        let n = String.length quoted in
+        let rec mentions i =
+          i + n <= String.length msg
+          && (String.sub msg i n = quoted || mentions (i + 1))
+        in
+        if not (mentions 0) then
+          Alcotest.failf "error for %S does not name %s: %s" s quoted msg
+  in
+  rejects_field "ranks" "{\"id\":1,\"op\":\"sweep\",\"ranks\":0,\"iters\":1}";
+  rejects_field "ranks" "{\"id\":1,\"op\":\"what-if\",\"ranks\":-2}";
+  rejects_field "iters" "{\"id\":1,\"op\":\"energy\",\"iters\":0}";
+  rejects_field "iters" "{\"id\":1,\"op\":\"sweep\",\"ranks\":2,\"iters\":0}";
+  rejects_field "cap" "{\"id\":1,\"op\":\"energy\",\"cap\":0}";
+  rejects_field "cap" "{\"id\":1,\"op\":\"what-if\",\"cap\":-40}";
+  rejects_field "deadline" "{\"id\":1,\"op\":\"energy\",\"deadline\":0}";
+  rejects_field "deadline" "{\"id\":1,\"op\":\"energy\",\"deadline\":-1.5}"
 
 let test_request_keys () =
   let key s =

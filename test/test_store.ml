@@ -256,14 +256,10 @@ let with_env kvs f =
 let test_env_empty_means_default () =
   with_env [ ("POWERLIM_TEST_KNOB", "") ] (fun () ->
       Alcotest.(check int) "empty = default" 7
-        (Putil.Env.int "POWERLIM_TEST_KNOB" ~default:7);
-      Alcotest.(check bool) "empty is not explicit" false
-        (Putil.Env.explicit "POWERLIM_TEST_KNOB"));
+        (Putil.Env.int "POWERLIM_TEST_KNOB" ~default:7));
   with_env [ ("POWERLIM_TEST_KNOB", "   ") ] (fun () ->
       Alcotest.(check int) "whitespace-only = default" 7
-        (Putil.Env.int "POWERLIM_TEST_KNOB" ~default:7);
-      Alcotest.(check bool) "whitespace-only is not explicit" false
-        (Putil.Env.explicit "POWERLIM_TEST_KNOB"))
+        (Putil.Env.int "POWERLIM_TEST_KNOB" ~default:7))
 
 let test_env_malformed_rejected_with_default () =
   with_env [ ("POWERLIM_TEST_KNOB", "banana") ] (fun () ->
@@ -276,25 +272,7 @@ let test_env_malformed_rejected_with_default () =
                   (list (pair string string)))
         "rejection recorded once per variable"
         [ ("POWERLIM_TEST_KNOB", "banana") ]
-        (Putil.Env.rejected ());
-      Alcotest.(check bool) "malformed is still explicit" true
-        (Putil.Env.explicit "POWERLIM_TEST_KNOB"))
-
-let test_env_bounds () =
-  with_env [ ("POWERLIM_TEST_KNOB", "0") ] (fun () ->
-      Putil.Env.reset_warnings ();
-      Alcotest.(check int) "below lo rejected" 64
-        (Putil.Env.int ~lo:1 "POWERLIM_TEST_KNOB" ~default:64);
-      Alcotest.(check int) "one rejection" 1
-        (List.length (Putil.Env.rejected ())));
-  with_env [ ("POWERLIM_TEST_KNOB", "1.0") ] (fun () ->
-      Putil.Env.reset_warnings ();
-      Alcotest.(check (float 0.0)) "at exclusive bound rejected" 2.0
-        (Putil.Env.float ~lo_exclusive:1.0 "POWERLIM_TEST_KNOB" ~default:2.0));
-  with_env [ ("POWERLIM_TEST_KNOB", "nan") ] (fun () ->
-      Putil.Env.reset_warnings ();
-      Alcotest.(check (float 0.0)) "nan rejected" 2.0
-        (Putil.Env.float "POWERLIM_TEST_KNOB" ~default:2.0))
+        (Putil.Env.rejected ()))
 
 let test_env_flag_spellings () =
   List.iter
@@ -347,7 +325,6 @@ let suite =
           test_env_empty_means_default;
         Alcotest.test_case "malformed rejected with default" `Quick
           test_env_malformed_rejected_with_default;
-        Alcotest.test_case "bounds enforced" `Quick test_env_bounds;
         Alcotest.test_case "flag spellings" `Quick test_env_flag_spellings;
       ] );
   ]
