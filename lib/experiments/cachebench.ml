@@ -9,12 +9,14 @@ let rel_diff a b =
 
 (* How many times the full per-cap request sequence is replayed.  The
    real harness replays it too: fig9/fig10/fig11/summary all consume the
-   same scenario, and every sweep chain prepares over it. *)
+   same scenario, and each app's sweep prepares over it. *)
 let rounds = 3
 
-(* One round of the sweep's per-cap requests, driven through the
-   pipeline stages exactly as Common.run_sweep drives them: assemble the
-   scenario from its source, prepare the LP, re-solve at the cap. *)
+(* One round of per-cap requests through the pipeline stages the sweep
+   uses: assemble the scenario from its source, prepare the LP, re-solve
+   at the cap.  Common.run_sweep prepares once per app, at its loosest
+   cap; preparing at every cap here gives the prepare cache one request
+   per cap. *)
 let one_round src (config : Common.config) =
   let nranks = Float.of_int config.Common.nranks in
   List.map

@@ -128,122 +128,90 @@ let cap_span (s : setup) ~cap f =
       ]
     "cap" f
 
-let run_point (s : setup) ~cap : point =
-  cap_span s ~cap (fun () ->
-      let job_cap = cap *. Float.of_int s.config.nranks in
-      point_of_outcome s ~cap ~job_cap
-        (Core.Event_lp.solve s.sc ~power_cap:job_cap))
-
-(** One cap of a prepared sweep: re-solve the shared model at [cap],
-    optionally warm-started, and return the point together with the final
-    basis to thread into the next cap. *)
-let solve_point (s : setup) (pz : Core.Event_lp.prepared) ?warm ~cap () :
-    point * Lp.Revised.basis option * Core.Event_lp.outcome =
-  let job_cap = cap *. Float.of_int s.config.nranks in
-  let outcome, b = Core.Event_lp.solve_prepared ?warm pz ~power_cap:job_cap in
-  (point_of_outcome s ~cap ~job_cap outcome, b, outcome)
-
-let run_point_prepared (s : setup) (pz : Core.Event_lp.prepared) ?warm ~cap ()
-    : point * Lp.Revised.basis option =
-  let pt, b, _ = solve_point s pz ?warm ~cap () in
-  (pt, b)
-
 (* Warm starts across the sweep are on by default; POWERLIM_WARM=0 turns
    them off (cold re-solves through the same prepared pipeline). *)
 let warm_default () = Putil.Env.flag "POWERLIM_WARM" ~default:true
 
-(* Each cap point is an independent solve+simulate job: [setup] (graph,
-   scenario, frontiers) is immutable after construction, and every solver
-   and simulator allocates its own working state per run, so sharing the
-   setup across domains is safe.
+(* All power duals zero: the cap does not constrain the schedule.  Duals
+   are ~2e-4 s/W or larger wherever power actually binds, and exactly
+   zero (up to roundoff) when it does not, so the threshold is
+   uncritical. *)
+let unconstraining = function
+  | Core.Event_lp.Schedule sch ->
+      Array.for_all
+        (fun (_, d) -> Float.abs d <= 1e-9)
+        sch.Core.Event_lp.power_duals
+  | _ -> false
 
-   The caps are sorted ascending (tightest first) and split into a
-   {e fixed} number of contiguous chains.  Each chain builds the event LP
-   once ({!Core.Event_lp.prepare} at its loosest cap, where presolve is
-   least likely to drop a power row) and re-solves up the chain,
-   threading the previous cap's optimal basis as a warm start — a cap
-   change only moves the power-row RHS, so the previous basis stays dual
-   feasible and the dual simplex reoptimizes in O(m) pivots.  Tightest
-   first matters: the loosest-cap optimum leaves the power rows slack
-   and, with identical ranks, is massively dual degenerate — chaining
-   {e from} it makes the dual crawl, while every hop between
-   power-anchored optima is cheap.  Caps whose power duals are all zero
-   (the cap does not constrain the schedule) are re-solved cold (see the
-   comment in the chain body), so warm output is byte-identical to cold
-   output.  The chain count does
-   not depend on the pool size, so sweep output is identical at any
-   POWERLIM_JOBS setting. *)
-let run_sweep ?pool ?warm (s : setup) : sweep =
-  let warm = match warm with Some w -> w | None -> warm_default () in
-  let pool =
-    match pool with Some p -> p | None -> Putil.Pool.get_default ()
-  in
+(* One ascending (tightest-first) chain over the app's caps.  The event
+   LP is built once ({!Core.Event_lp.prepare} at the loosest cap, where
+   presolve is least likely to drop a power row) and re-solved up the
+   chain, threading the previous cap's optimal basis as a warm start: a
+   cap change only moves the power-row RHS, so the previous basis stays
+   dual feasible and the dual simplex reoptimizes in a few pivots.
+   Tightest first matters: the loosest-cap optimum leaves the power rows
+   slack and is massively dual degenerate, so chaining {e from} it makes
+   the dual crawl, while every hop between power-anchored optima is
+   cheap.
+
+   A warm solve whose power duals are all zero has landed on the
+   cap-independent unconstrained optimum, which is degenerate: a warm
+   start may reach any of its alternate optima.  That cap is re-solved
+   cold, so the reported schedule is canonical (byte-identical to the
+   cold path), and warming stops.  Once a reported optimum's own power
+   duals are all zero it is reported at every looser cap without another
+   solve.  Zero power duals are a certificate: the dual solution stays
+   feasible for any power-row RHS, and the schedule stays primal
+   feasible as the cap loosens, so LP duality proves it optimal there
+   with the same objective (and its replay stays under the looser cap).
+
+   Each point only reads the shared immutable [setup], and the chain's
+   solves and simulations allocate their own state, so apps run on
+   separate domains safely; the chain itself is sequential, so output
+   does not depend on POWERLIM_JOBS. *)
+let run_sweep ?warm (s : setup) : sweep =
+  let warming = ref (match warm with Some w -> w | None -> warm_default ()) in
+  let watts cap = cap *. Float.of_int s.config.nranks in
   let caps = Array.of_list s.config.caps in
-  let n = Array.length caps in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match Float.compare caps.(i) caps.(j) with
-      | 0 -> compare i j
-      | c -> c)
+  let order = Array.init (Array.length caps) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare caps.(i) caps.(j)) order;
+  (* lazy: a sweep without caps prepares nothing *)
+  let pz =
+    lazy
+      (Pipeline.Stages.prepare s.sc
+         ~power_cap:(watts (Array.fold_left Float.max neg_infinity caps)))
+  in
+  let prev = ref None and certified = ref None in
+  let outcome ~job_cap =
+    match !certified with
+    | Some o -> o
+    | None ->
+        let solve basis =
+          Core.Event_lp.solve_prepared ?warm:basis (Lazy.force pz)
+            ~power_cap:job_cap
+        in
+        let wb = if !warming then !prev else None in
+        let o, b = solve wb in
+        let o, b =
+          if Option.is_some wb && unconstraining o then (
+            warming := false;
+            solve None)
+          else (o, b)
+        in
+        if Option.is_some b then prev := b;
+        if unconstraining o then certified := Some o;
+        o
+  in
+  let out = Array.make (Array.length caps) None in
+  Array.iter
+    (fun i ->
+      let cap = caps.(i) in
+      out.(i) <-
+        Some
+          ( cap_span s ~cap @@ fun () ->
+            let job_cap = watts cap in
+            point_of_outcome s ~cap ~job_cap (outcome ~job_cap) ))
     order;
-  let nchains = if n >= 4 then 2 else 1 in
-  let chains =
-    List.init nchains (fun c ->
-        let lo = c * n / nchains and hi = (c + 1) * n / nchains in
-        Array.to_list (Array.sub order lo (hi - lo)))
-  in
-  let run_chain idxs =
-    match idxs with
-    | [] -> []
-    | idxs ->
-        let loosest =
-          List.fold_left (fun acc i -> Float.max acc caps.(i)) neg_infinity
-            idxs
-        in
-        let pz =
-          Pipeline.Stages.prepare s.sc
-            ~power_cap:(loosest *. Float.of_int s.config.nranks)
-        in
-        let unconstraining = function
-          | Core.Event_lp.Schedule sch ->
-              (* Duals are ~2e-4 s/W or larger wherever power actually
-                 binds, and exactly zero (up to roundoff) when it does
-                 not, so the threshold is uncritical. *)
-              Array.for_all
-                (fun (_, d) -> Float.abs d <= 1e-9)
-                sch.Core.Event_lp.power_duals
-          | _ -> false
-        in
-        let prev = ref None in
-        let warm_on = ref warm in
-        List.map
-          (fun i ->
-            cap_span s ~cap:caps.(i) @@ fun () ->
-            let wb = if !warm_on then !prev else None in
-            let pt, b, o = solve_point s pz ?warm:wb ~cap:caps.(i) () in
-            let pt, b =
-              (* Zero power duals mean the cap does not constrain the
-                 schedule: the optimum is the cap-independent
-                 unconstrained one, which is massively degenerate, and a
-                 warm start may land on any of its alternate optima.
-                 Re-solve cold so the reported schedule is canonical
-                 (byte-identical to the cold path), and stop warming —
-                 every looser cap in this ascending chain is
-                 unconstraining too, and those solves are the cheap
-                 ones. *)
-              if Option.is_some wb && unconstraining o then (
-                warm_on := false;
-                run_point_prepared s pz ~cap:caps.(i) ())
-              else (pt, b)
-            in
-            (match b with Some _ -> prev := b | None -> ());
-            (i, pt))
-          idxs
-  in
-  let results = Putil.Pool.parallel_map pool run_chain chains in
-  let out = Array.make n None in
-  List.iter (List.iter (fun (i, pt) -> out.(i) <- Some pt)) results;
   { setup = s; points = Array.to_list (Array.map Option.get out) }
 
 (* ------------------------------------------------------------------ *)

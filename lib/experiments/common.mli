@@ -43,42 +43,29 @@ type point = {
 
 type sweep = { setup : setup; points : point list }
 
-val run_point : setup -> cap:float -> point
-
-val run_point_prepared :
-  setup ->
-  Core.Event_lp.prepared ->
-  ?warm:Lp.Revised.basis ->
-  cap:float ->
-  unit ->
-  point * Lp.Revised.basis option
-(** One cap of a prepared sweep: re-solve the shared model at [cap]
-    (warm-started from [warm] when given) and return the point with the
-    final basis to thread into the next cap. *)
-
 val warm_default : unit -> bool
 (** The process-wide warm-start switch: [true] unless [POWERLIM_WARM] is
     set to [0]/[false]/[off]/[no].  Consulted by {!run_sweep} and by the
     [powerlim what-if] re-solve path, both of which print byte-identical
     output either way. *)
 
-val run_sweep : ?pool:Putil.Pool.t -> ?warm:bool -> setup -> sweep
-(** Runs the Static/Conductor/LP-replay triples over [config.caps] on
-    [pool] (the shared default pool when omitted), preserving the cap
-    order in [points].  The caps are processed as a fixed number of
-    ascending (tightest-first) contiguous chains, each building the
-    event LP once ({!Core.Event_lp.prepare}) and threading the previous
-    cap's optimal basis into the next solve as a warm start.  [warm]
-    defaults to on;
-    [POWERLIM_WARM=0] disables it (cold re-solves through the same
-    prepared pipeline).  Caps whose power duals are all zero are
-    re-solved cold — their cap-independent unconstrained optimum is
-    degenerate and a warm start may land on an alternate vertex — so
-    sweep output is byte-identical with warm starts on or off.  The chain count is
-    independent of the pool size, so output does not depend on
-    POWERLIM_JOBS.  Each job only
-    reads the shared immutable [setup]; all solver and simulator state is
-    per-job. *)
+val run_sweep : ?warm:bool -> setup -> sweep
+(** Runs the Static/Conductor/LP-replay triples over [config.caps],
+    preserving the cap order in [points].  The caps run as one ascending
+    (tightest-first) chain that builds the event LP once
+    ({!Core.Event_lp.prepare} at the loosest cap) and threads each cap's
+    optimal basis into the next solve as a warm start.  [warm] defaults
+    to {!warm_default}; off, every solve is cold on the same prepared
+    model.  A warm solve whose power duals are all zero is re-solved
+    cold — the unconstrained optimum is degenerate and a warm start may
+    land on an alternate vertex — so output is byte-identical with warm
+    starts on or off.  The first reported optimum whose power duals are
+    all zero (a cold solve) is reported at its cap and at every looser
+    cap without another solve: zero duals stay dual feasible for any
+    power-row RHS and the schedule stays feasible as the cap loosens,
+    so LP duality certifies it optimal there, with the same objective.
+    The chain runs in the calling domain, so output does not depend on
+    POWERLIM_JOBS. *)
 
 (** {2 Energy-under-deadline sweeps} *)
 

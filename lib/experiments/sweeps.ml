@@ -5,10 +5,10 @@
 
 type t = (Workloads.Apps.app * Common.sweep) list
 
-(* The apps fan out on the pool; each app's per-cap points fan out on
-   the same pool from inside the app job (nested submission -- the pool's
-   helping [await] keeps the fixed worker set busy).  [parallel_map]
-   preserves list order, so the result is independent of pool size. *)
+(* The apps fan out on the pool, one task each; an app's caps run as
+   one sequential warm chain inside its task ({!Common.run_sweep}).
+   [parallel_map] preserves list order, so the result is independent of
+   pool size. *)
 let compute ?pool ?(config = Common.default_config) () : t =
   let pool =
     match pool with Some p -> p | None -> Putil.Pool.get_default ()
@@ -20,7 +20,7 @@ let compute ?pool ?(config = Common.default_config) () : t =
         "app"
         (fun () ->
           let setup = Common.make_setup config app in
-          (app, Common.run_sweep ~pool setup)))
+          (app, Common.run_sweep setup)))
     Workloads.Apps.all_apps
 
 (* ---- Figure 9: LP vs Static, all benchmarks ---------------------- *)

@@ -139,8 +139,10 @@ let run ?(config = Common.default_config) ppf =
   Common.header ppf "Warm-start benchmark (sweep re-solves + MILP nodes)";
   let s = Common.make_setup config Workloads.Apps.CoMD in
   (* tightest cap first: the loosest-cap optimum leaves the power rows
-     slack and is massively dual degenerate, so chains start from a
-     power-anchored vertex and loosen (see Common.run_sweep) *)
+     slack and is massively dual degenerate, so the chain starts from a
+     power-anchored vertex and loosens, as each app's chain does in
+     Common.run_sweep (which also stops solving at its first zero-dual
+     cap; this harness solves every cap) *)
   let caps = List.sort Float.compare config.Common.caps in
   let sweep = sweep_side s caps in
   let cold_s, st_cold, warm_s, st_warm, max_diff = sweep in

@@ -127,12 +127,20 @@ let request_of_string s = request_of_json (Json.of_string s)
 
 (* ---- content-addressed request keys ------------------------------- *)
 
-(* Solving requests are keyed by the complete content of their
-   parameters, in the ["stage:digest"] convention of {!Pipeline.Key}:
-   equal requests derive equal keys across connections, processes and
-   restarts.  [Stats]/[Shutdown] are not cacheable. *)
-let request_key op =
+(* The version of the bytes a served response carries.  Bump it with
+   every change that can move a byte of [output] or [err] for some
+   request, so that a daemon restarted on a store written by another
+   build computes afresh instead of reviving that build's rendering. *)
+let output_version = 2
+
+(* Solving requests are keyed by the output version and the complete
+   content of their parameters, in the ["stage:digest"] convention of
+   {!Pipeline.Key}: equal requests derive equal keys across
+   connections, processes and restarts of one build.
+   [Stats]/[Shutdown] are not cacheable. *)
+let versioned_key ~version op =
   let h = Putil.Hashing.create () in
+  Putil.Hashing.int h version;
   let edit_fold = function
     | Core.Event_lp.Fail_socket r ->
         Putil.Hashing.string h "fail";
@@ -178,6 +186,8 @@ let request_key op =
       List.iter edit_fold edits;
       Some (Pipeline.Key.to_string (Pipeline.Key.v ~stage:"serve" h))
   | Stats | Shutdown -> None
+
+let request_key op = versioned_key ~version:output_version op
 
 (* ---- responses ----------------------------------------------------- *)
 

@@ -113,16 +113,17 @@ let test_extensions () =
   check_contains out "balancer";
   check_contains out "lp_refined_s"
 
-(* Pinned fixture for the degenerate-warm-start rule: a cap whose power
-   duals are all zero (the cap does not constrain the schedule) is
-   re-solved cold by the sweep chain, so warm and cold sweeps publish
-   bit-identical points.  400 W/socket is far above any CoMD task's
-   draw, so the loose cap is guaranteed unconstraining; the fallback is
-   then observable as exactly one extra (cold) solve in the warm arm's
-   counters. *)
+(* Pinned fixture for the degenerate-warm-start rule and the zero-dual
+   certificate.  400 W/socket is far above any CoMD task's draw, so it
+   and every looser cap are guaranteed unconstraining.  A cap whose power
+   duals are all zero is re-solved cold by the sweep chain, so warm and
+   cold sweeps publish bit-identical points; that reported optimum is
+   then reused at 450 and 500 W without another solve.  Both rules are
+   observable in the counters: the cold arm solves 35 and 400 W, the
+   warm arm adds one cold re-solve at 400 W. *)
 let test_degenerate_duals_cold_fallback () =
   let config =
-    { tiny with Experiments.Common.caps = [ 35.0; 400.0 ] }
+    { tiny with Experiments.Common.caps = [ 35.0; 400.0; 450.0; 500.0 ] }
   in
   let s = Experiments.Common.make_setup config Workloads.Apps.CoMD in
   let arm warm =
@@ -136,18 +137,56 @@ let test_degenerate_duals_cold_fallback () =
     st_cold.Lp.Stats.warm_solves;
   Alcotest.(check bool) "warm arm attempted a warm start" true
     (st_warm.Lp.Stats.warm_solves >= 1);
+  Alcotest.(check int) "cold arm solves 35 and 400 W only" 2
+    st_cold.Lp.Stats.solves;
   Alcotest.(check int) "zero-dual fallback re-solves exactly once"
     (st_cold.Lp.Stats.solves + 1)
     st_warm.Lp.Stats.solves;
+  let bits x = Int64.bits_of_float x in
   List.iter2
     (fun (a : Experiments.Common.point) (b : Experiments.Common.point) ->
       Alcotest.(check bool) "schedulable flags agree"
         a.Experiments.Common.schedulable b.Experiments.Common.schedulable;
       Alcotest.(check bool) "lp span bit-identical warm vs cold" true
-        (Int64.equal
-           (Int64.bits_of_float a.Experiments.Common.lp_span)
-           (Int64.bits_of_float b.Experiments.Common.lp_span)))
-    sw_cold.Experiments.Common.points sw_warm.Experiments.Common.points
+        (Int64.equal (bits a.Experiments.Common.lp_span)
+           (bits b.Experiments.Common.lp_span)))
+    sw_cold.Experiments.Common.points sw_warm.Experiments.Common.points;
+  (* the reused optimum is optimal at its own cap and replays under it *)
+  List.iter
+    (fun (sw : Experiments.Common.sweep) ->
+      let at cap =
+        List.find
+          (fun (p : Experiments.Common.point) -> p.Experiments.Common.cap = cap)
+          sw.Experiments.Common.points
+      in
+      let p400 = at 400.0 in
+      List.iter
+        (fun cap ->
+          let p = at cap in
+          Alcotest.(check bool)
+            (Printf.sprintf "%g W carries the 400 W lp span" cap)
+            true
+            (Int64.equal (bits p.Experiments.Common.lp_span)
+               (bits p400.Experiments.Common.lp_span));
+          (match
+             Core.Event_lp.solve s.Experiments.Common.sc
+               ~power_cap:p.Experiments.Common.job_cap
+           with
+          | Core.Event_lp.Schedule sch ->
+              let ref_obj = sch.Core.Event_lp.objective in
+              Alcotest.(check bool)
+                (Printf.sprintf "%g W objective = independent solve" cap)
+                true
+                (Float.abs (p.Experiments.Common.lp_objective -. ref_obj)
+                <= 1e-9 *. Float.abs ref_obj)
+          | _ -> Alcotest.failf "independent solve at %g W failed" cap);
+          Alcotest.(check bool)
+            (Printf.sprintf "%g W replay within its cap" cap)
+            true
+            (p.Experiments.Common.lp_max_power
+            <= 1.02 *. p.Experiments.Common.job_cap))
+        [ 450.0; 500.0 ])
+    [ sw_cold; sw_warm ]
 
 let suite =
   [

@@ -156,14 +156,16 @@ let test_sweep_determinism () =
     seq par
 
 (* Warm-started sweeps are a pure performance device: every point of
-   [run_sweep ~warm:true] must be byte-identical to the cold path, at
-   POWERLIM_JOBS=1 and 4 alike.  Points are rendered with %h (hex
-   floats), so the comparison is exact to the last bit. *)
-let render_points warm pool =
+   [run_sweep ~warm:true] must be byte-identical to the cold path,
+   whether the chain runs in the calling domain (a 1-domain pool runs
+   tasks in place) or on a worker domain of a 4-domain pool, as
+   [Sweeps.compute] runs it.  Points are rendered with %h (hex floats),
+   so the comparison is exact to the last bit. *)
+let render_points warm =
   let setup =
     Experiments.Common.make_setup small_config Workloads.Apps.CoMD
   in
-  let sw = Experiments.Common.run_sweep ~pool ~warm setup in
+  let sw = Experiments.Common.run_sweep ~warm setup in
   String.concat "\n"
     (List.map
        (fun (p : Experiments.Common.point) ->
@@ -174,10 +176,12 @@ let render_points warm pool =
        sw.Experiments.Common.points)
 
 let test_sweep_warm_equals_cold () =
-  let w1 = with_pool 1 (render_points true) in
-  let c1 = with_pool 1 (render_points false) in
-  let w4 = with_pool 4 (render_points true) in
-  let c4 = with_pool 4 (render_points false) in
+  let on size warm =
+    with_pool size (fun pool ->
+        Putil.Pool.await (Putil.Pool.submit pool (fun () -> render_points warm)))
+  in
+  let w1 = on 1 true and c1 = on 1 false in
+  let w4 = on 4 true and c4 = on 4 false in
   Alcotest.(check string) "warm = cold at 1 domain" c1 w1;
   Alcotest.(check string) "warm = cold at 4 domains" c4 w4;
   Alcotest.(check string) "cold path pool-size invariant" c1 c4

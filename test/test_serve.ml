@@ -325,6 +325,61 @@ let test_daemon_byte_identity_and_tiers () =
               Alcotest.(check string) "disk tier returns equal bytes"
                 offline.Serve.Handlers.out (str_exn "output" r3))))
 
+(* A store written by another build holds that build's renderings under
+   that build's output version.  Plant another request's bytes under the
+   other version's key: a restarted daemon must compute afresh, not serve
+   them.  The same bytes planted under the current key are served (the
+   control), so the plant itself reaches the disk tier. *)
+let test_daemon_ignores_other_output_versions () =
+  with_cache_enabled (fun () ->
+      let dir = mkdtemp () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let store = Filename.concat dir "store" in
+          let req cap =
+            Printf.sprintf
+              "{\"op\":\"energy\",\"ranks\":4,\"iters\":2,\"cap\":%d,\
+               \"deadline\":10.0}"
+              cap
+          in
+          let key ~version cap =
+            Option.get
+              (Serve.Protocol.versioned_key ~version
+                 (Serve.Protocol.op_of_json (Serve.Json.of_string (req cap))))
+          in
+          let current = Serve.Protocol.output_version in
+          let served cap =
+            Putil.Cache.clear_all ();
+            with_daemon ~store_root:store dir (fun c ->
+                let r = Serve.Client.request c (Serve.Json.of_string (req cap)) in
+                (str_exn "cached" r, str_exn "output" r))
+          in
+          let _, out45 = served 45 in
+          let plant ~version =
+            let s = Putil.Disk_store.open_ ~root:store () in
+            Putil.Disk_store.put s (key ~version 40)
+              (Option.get (Putil.Disk_store.get s (key ~version:current 45)))
+          in
+          let offline =
+            Serve.Handlers.energy ~app:Workloads.Apps.CoMD ~ranks:4 ~iters:2
+              ~seed:42 ~cap:40.0 ~deadline:(Some 10.0) ()
+          in
+          Alcotest.(check bool) "the planted bytes differ" false
+            (String.equal out45 offline.Serve.Handlers.out);
+          plant ~version:(current - 1);
+          let cached, out = served 40 in
+          Alcotest.(check string) "another version's entry is not served"
+            "none" cached;
+          Alcotest.(check string) "computed bytes = CLI bytes"
+            offline.Serve.Handlers.out out;
+          plant ~version:current;
+          let cached, out = served 40 in
+          Alcotest.(check string) "control: the current key hits disk" "disk"
+            cached;
+          Alcotest.(check string) "control: the planted bytes are served"
+            out45 out))
+
 let test_daemon_refuses_malformed_under_client_id () =
   with_cache_enabled (fun () ->
       let dir = mkdtemp () in
@@ -397,6 +452,8 @@ let suite =
       [
         Alcotest.test_case "byte identity across mem/disk tiers" `Slow
           test_daemon_byte_identity_and_tiers;
+        Alcotest.test_case "other output versions are not served" `Slow
+          test_daemon_ignores_other_output_versions;
         Alcotest.test_case "malformed requests refused under client id"
           `Quick test_daemon_refuses_malformed_under_client_id;
       ] );
