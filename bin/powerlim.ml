@@ -341,7 +341,7 @@ let export_cmd =
     Term.(const run $ app_t $ ranks_t $ iters_t $ seed_t $ cap_t $ mps_t
           $ trace_t $ records_t)
 
-(* ---- what-if: structural re-solve under domain edits --------------- *)
+(* ---- what-if: incremental re-solve under domain edits ------------- *)
 
 (* TID:POINT:DUR:POW, e.g. --perturb-task 17:2:0.034:91.5 *)
 let perturb_conv =
@@ -396,8 +396,9 @@ let what_if_cmd =
   in
   Cmd.v
     (Cmd.info "what-if"
-       ~doc:"Re-solve the LP bound incrementally under structural edits \
-             (socket failures, dropped ranks, profile perturbations).")
+       ~doc:"Re-solve the LP bound incrementally under domain edits \
+             (socket failures, dropped ranks, profile perturbations) and \
+             validate it by replay in the edited scenario.")
     Term.(const run $ app_t $ ranks_t $ iters_t $ seed_t $ cap_t
           $ fail_socket_t $ drop_rank_t $ perturb_t $ trace_out_t
           $ stats_json_t)

@@ -65,12 +65,14 @@ let initial_times ?(reduce_slack = true) (sc : Scenario.t) :
    [col_bands]/[row_bands] tag every column and row with its temporal
    stage (position in the initial schedule's event order) — the
    staircase metadata {!Lp.Lu.factor} uses to keep factorization fill
-   inside the event-chain blocks.  Empty after structural edits, which
-   invalidate the stage assignment. *)
+   inside the event-chain blocks.  Domain edits never change the shape,
+   so every index here stays valid across them. *)
 type built = {
   problem : Lp.Model.problem;
   v_vars : Lp.Model.var array;  (* per vertex *)
   c_vars : Lp.Model.var array array;  (* per task, per frontier point *)
+  conv_rows : int array;  (* per task; -1 for a task with no weights *)
+  prec_rows : int array;  (* per task *)
   meta : (int * int) list;  (* power rows: (row index, vertex) *)
   n_power_rows : int;
   deadline_row : int option;  (* the energy mode's makespan bound row *)
@@ -78,12 +80,6 @@ type built = {
   col_bands : int array;
   row_bands : int array;
 }
-
-(* The bands pair in the shape {!Lp.Revised.solve} expects, or [None]
-   when the build carries no stage metadata. *)
-let bands_of (b : built) =
-  if Array.length b.col_bands = 0 then None
-  else Some (b.col_bands, b.row_bands)
 
 let build ?(reduce_slack = true) ?init
     ?(objective = Objective.Makespan_under_cap) (sc : Scenario.t) ~power_cap :
@@ -128,10 +124,12 @@ let build ?(reduce_slack = true) ?init
             Lp.Model.add_var m ~lb:0.0 ~ub:1.0 ?obj
               (Printf.sprintf "c%d_%d" tid k)))
   in
+  let conv_rows = Array.make nt (-1) and prec_rows = Array.make nt 0 in
   Array.iteri
     (fun tid vars ->
       if Array.length vars > 0 then begin
         row_band vpos.(g.Dag.Graph.tasks.(tid).Dag.Graph.t_src);
+        conv_rows.(tid) <- Lp.Model.nconstrs m;
         Lp.Model.add_constr m
           ~name:(Printf.sprintf "conv%d" tid)
           (Array.to_list (Array.map (fun x -> (1.0, x)) vars))
@@ -149,6 +147,7 @@ let build ?(reduce_slack = true) ?init
              f)
       in
       row_band vpos.(t.Dag.Graph.t_src);
+      prec_rows.(tid) <- Lp.Model.nconstrs m;
       Lp.Model.add_constr m
         ~name:(Printf.sprintf "prec_t%d" tid)
         ((1.0, v.(t.t_dst)) :: (-1.0, v.(t.t_src)) :: dur_terms)
@@ -238,6 +237,8 @@ let build ?(reduce_slack = true) ?init
     problem;
     v_vars = v;
     c_vars = c;
+    conv_rows;
+    prec_rows;
     meta = List.rev !power_row_meta;
     n_power_rows = !power_rows;
     deadline_row;
@@ -399,12 +400,12 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
     outcome * Lp.Revised.basis option =
   let b = pz.pbuilt in
   let p = b.problem in
-  let bands = bands_of b in
+  let bands = (b.col_bands, b.row_bands) in
   let r =
     match pz.resolution with
     | `Reduced red ->
         Lp.Presolve.solve_reduction ~max_iter ?rhs ?warm
-          ?analysis:pz.panalysis ?bands p red
+          ?analysis:pz.panalysis ~bands p red
     | `Each ->
         let pp =
           match rhs with
@@ -413,7 +414,7 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
         in
         { (Lp.Presolve.solve ~max_iter pp) with Lp.Revised.basis = None }
     | `Full ->
-        Lp.Revised.solve ~max_iter ?rhs ?warm ?analysis:pz.panalysis ?bands p
+        Lp.Revised.solve ~max_iter ?rhs ?warm ?analysis:pz.panalysis ~bands p
   in
   (outcome_of ~mode ~objective pz.psc b r, r.Lp.Revised.basis)
 
@@ -465,7 +466,7 @@ let solve_prepared_deadline ?(mode = Continuous) ?(max_iter = 0) ?warm
     ?warm pz rhs
 
 (* ------------------------------------------------------------------ *)
-(* Structural what-if edits                                            *)
+(* What-if edits                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type domain_edit =
@@ -479,6 +480,11 @@ let pp_domain_edit ppf = function
   | Perturb_task { tid; point; duration; power } ->
       Fmt.pf ppf "perturb-task %d:%d to (%g s, %g W)" tid point duration power
 
+let each_rank_task (sc : Scenario.t) r f =
+  Array.iteri
+    (fun tid (t : Dag.Graph.task) -> if t.Dag.Graph.rank = r then f tid)
+    sc.Scenario.graph.Dag.Graph.tasks
+
 (* The one validity check for a domain-edit list, shared by
    [edit_scenario] and [compile_edits]: apply the edits in order to a
    copy of the frontiers, so each edit is checked against the world the
@@ -489,23 +495,18 @@ let edit_frontiers (sc : Scenario.t) (des : domain_edit list) =
   let frontiers = Array.copy sc.Scenario.frontiers in
   let nt = Array.length frontiers in
   let nr = sc.Scenario.graph.Dag.Graph.nranks in
-  let each_rank_task r f =
-    Array.iteri
-      (fun tid (t : Dag.Graph.task) -> if t.Dag.Graph.rank = r then f tid)
-      sc.Scenario.graph.Dag.Graph.tasks
-  in
   let apply = function
     | (Fail_socket r | Drop_rank r) when r < 0 || r >= nr ->
         Error (Printf.sprintf "rank %d outside 0..%d" r (nr - 1))
     | Fail_socket r ->
         (* socket stuck in its most frugal state: hull collapses to the
            slowest point *)
-        each_rank_task r (fun tid ->
+        each_rank_task sc r (fun tid ->
             if Array.length frontiers.(tid) > 1 then
               frontiers.(tid) <- [| frontiers.(tid).(0) |]);
         Ok ()
     | Drop_rank r ->
-        each_rank_task r (fun tid -> frontiers.(tid) <- [||]);
+        each_rank_task sc r (fun tid -> frontiers.(tid) <- [||]);
         Ok ()
     | Perturb_task { tid; _ } when tid < 0 || tid >= nt ->
         Error (Printf.sprintf "task %d outside 0..%d" tid (nt - 1))
@@ -545,146 +546,65 @@ let valid_frontiers what sc des =
 let edit_scenario (sc : Scenario.t) (des : domain_edit list) : Scenario.t =
   { sc with Scenario.frontiers = valid_frontiers "edit_scenario" sc des }
 
-(* Compile already-checked domain edits to elementary LP edits against
-   [p].  Rows and columns are located by the names [build] gave them
-   ("conv%d", "prec_t%d", "pow%d", "c%d_%d"), re-resolved against the
-   evolving problem after every elementary edit — names survive index
-   shifts, indices do not. *)
-let compile_checked (sc : Scenario.t) (p : Lp.Model.problem)
-    (des : domain_edit list) : Lp.Edit.t list =
-  let find names n name =
-    let rec go i =
-      if i >= n then None
-      else if String.equal names.(i) name then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let acc = ref [] and cur = ref p in
-  let emit e =
-    acc := e :: !acc;
-    cur := Lp.Edit.apply !cur [ e ]
-  in
-  let find_row name =
-    let p = !cur in
-    find p.Lp.Model.row_names p.Lp.Model.nr name
-  in
-  let find_col name =
-    let p = !cur in
-    find p.Lp.Model.var_names p.Lp.Model.nv name
-  in
-  let each_rank_task r f =
-    Array.iteri
-      (fun tid (t : Dag.Graph.task) -> if t.Dag.Graph.rank = r then f tid)
-      sc.Scenario.graph.Dag.Graph.tasks
-  in
+(* Compile already-checked domain edits to value edits against [b]: no
+   domain edit changes the LP's shape, so every row and column sits at
+   the index [build] gave it, and the edits land in one pass.  A dropped
+   rank's weights are fixed at zero and its tasks' convexity rows need
+   zero weight: the same optimum as deleting them, with the base basis
+   still square. *)
+let compile_checked (sc : Scenario.t) (b : built) (des : domain_edit list) :
+    Lp.Edit.t list =
+  let p = b.problem in
+  let power = Array.make p.Lp.Model.nr false in
+  List.iter (fun (row, _) -> power.(row) <- true) b.meta;
+  let acc = ref [] in
+  let emit e = acc := e :: !acc in
+  let pin col = emit (Lp.Edit.Set_bounds { col; lb = 0.0; ub = 0.0 }) in
   List.iter
-    (fun de ->
-      match de with
+    (function
       | Fail_socket r ->
-          each_rank_task r (fun tid ->
-              (* pin every weight but the most frugal one to zero *)
-              let k = ref 1 in
-              let continue = ref true in
-              while !continue do
-                match find_col (Printf.sprintf "c%d_%d" tid !k) with
-                | Some col ->
-                    emit (Lp.Edit.Set_bounds { col; lb = 0.0; ub = 0.0 });
-                    incr k
-                | None -> continue := false
-              done)
+          (* pin every weight but the most frugal one to zero *)
+          each_rank_task sc r (fun tid ->
+              Array.iteri (fun k col -> if k > 0 then pin col) b.c_vars.(tid))
       | Drop_rank r ->
-          each_rank_task r (fun tid ->
-              (match find_row (Printf.sprintf "conv%d" tid) with
-              | Some row -> emit (Lp.Edit.Remove_row row)
-              | None -> ());
-              let k = ref 0 in
-              let continue = ref true in
-              while !continue do
-                match find_col (Printf.sprintf "c%d_%d" tid !k) with
-                | Some col ->
-                    emit (Lp.Edit.Remove_col col);
-                    incr k
-                | None -> continue := false
-              done)
-      | Perturb_task { tid; point; duration; power } ->
-          let col =
-            match find_col (Printf.sprintf "c%d_%d" tid point) with
-            | Some col -> col
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Event_lp.compile_edits: no weight variable c%d_%d" tid
-                     point)
-          in
-          (match find_row (Printf.sprintf "prec_t%d" tid) with
-          | Some row -> emit (Lp.Edit.Set_entry { row; col; coef = -.duration })
-          | None -> ());
-          (* every power row carrying this configuration gets its new
-             wattage; classify the column's rows by name prefix *)
-          let prows = ref [] in
-          let pc = !cur in
-          Lp.Sparse.Csc.iter_col pc.Lp.Model.a col (fun i _ ->
-              let n = pc.Lp.Model.row_names.(i) in
-              if String.length n >= 3 && String.sub n 0 3 = "pow" then
-                prows := i :: !prows);
-          List.iter
-            (fun row -> emit (Lp.Edit.Set_entry { row; col; coef = power }))
-            (List.rev !prows))
+          each_rank_task sc r (fun tid ->
+              if b.conv_rows.(tid) >= 0 then begin
+                Array.iter pin b.c_vars.(tid);
+                emit (Lp.Edit.Set_rhs { row = b.conv_rows.(tid); rhs = 0.0 })
+              end)
+      | Perturb_task { tid; point; duration; power = watts } ->
+          (* the precedence row takes the new duration, every power row
+             carrying this configuration its new wattage *)
+          let col = b.c_vars.(tid).(point) in
+          emit
+            (Lp.Edit.Set_entry
+               { row = b.prec_rows.(tid); col; coef = -.duration });
+          Lp.Sparse.Csc.iter_col p.Lp.Model.a col (fun row _ ->
+              if power.(row) then
+                emit (Lp.Edit.Set_entry { row; col; coef = watts })))
     des;
   List.rev !acc
 
 let compile_edits (pz : prepared) (des : domain_edit list) : Lp.Edit.t list =
   ignore (valid_frontiers "compile_edits" pz.psc des);
-  compile_checked pz.psc pz.pbuilt.problem des
+  compile_checked pz.psc pz.pbuilt des
 
 let prepared_problem (pz : prepared) = pz.pbuilt.problem
 
-(* Incremental structural re-solve: compile the edits, map the supplied
-   basis across them (bordered updates inside {!Lp.Edit}), dual-repair,
-   and rebuild a prepared handle for the edited world so further caps —
-   or further edits — can be chained. *)
+(* Incremental what-if re-solve: compile the edits to value edits, warm
+   the solve from the supplied basis (the shape is unchanged, so it
+   needs no mapping), and keep the base build for the edited world so
+   further caps — or further edits — can be chained. *)
 let edit_prepared ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
     (des : domain_edit list) :
     outcome * prepared * Lp.Revised.basis option =
   let b = pz.pbuilt in
   let sc' = edit_scenario pz.psc des in
-  let edits = compile_checked pz.psc b.problem des in
-  (* a reduced-space basis cannot be mapped across full-space edits *)
+  let edits = compile_checked pz.psc b des in
+  (* a reduced-space basis does not live in the full problem's space *)
   let warm = match pz.resolution with `Full -> warm | `Reduced _ | `Each -> None in
   let p', r = Lp.Edit.resolve ~max_iter ?warm b.problem edits in
-  let cmap = Lp.Edit.col_map b.problem edits in
-  let rmap = Lp.Edit.row_map b.problem edits in
-  let v_vars = Array.map (fun v -> cmap.(v)) b.v_vars in
-  let c_vars =
-    Array.map
-      (fun vars ->
-        if Array.exists (fun v -> cmap.(v) < 0) vars then [||]
-        else Array.map (fun v -> cmap.(v)) vars)
-      b.c_vars
-  in
-  let meta =
-    List.filter_map
-      (fun (row, vx) -> if rmap.(row) >= 0 then Some (rmap.(row), vx) else None)
-      b.meta
-  in
-  let built' =
-    {
-      problem = p';
-      v_vars;
-      c_vars;
-      meta;
-      n_power_rows = List.length meta;
-      deadline_row =
-        (match b.deadline_row with
-        | Some row when rmap.(row) >= 0 -> Some rmap.(row)
-        | Some _ | None -> None);
-      objective = b.objective;
-      (* structural edits invalidate the event-stage assignment *)
-      col_bands = [||];
-      row_bands = [||];
-    }
-  in
+  let built' = { b with problem = p' } in
   let pz' =
     {
       psc = sc';
@@ -761,32 +681,22 @@ let switch_objective ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
       in
       let p', r = Lp.Edit.resolve ~max_iter ?warm p edits in
       Lp.Stats.note_mode_switch ();
-      let rmap = Lp.Edit.row_map p edits in
-      let meta = List.map (fun (row, vx) -> (rmap.(row), vx)) b.meta in
       let deadline_row' =
         match objective with
         | Objective.Makespan_under_cap -> None
         | Objective.Energy_under_deadline _ -> Some (p'.Lp.Model.nr - 1)
       in
-      (* columns are untouched and the structural change is one appended
-         or removed trailing row, so the stage metadata carries over *)
+      (* columns are untouched and the deadline row is always the last
+         row, so every other row keeps its index and its stage *)
       let row_bands' =
-        if Array.length b.row_bands = 0 then [||]
-        else
-          match (b.deadline_row, deadline_row') with
-          | None, Some _ ->
-              Array.append b.row_bands [| b.col_bands.(fin_col) |]
-          | Some row, None ->
-              Array.init
-                (Array.length b.row_bands - 1)
-                (fun i -> if i < row then b.row_bands.(i) else b.row_bands.(i + 1))
-          | (None, None | Some _, Some _) -> b.row_bands
+        match deadline_row' with
+        | Some _ -> Array.append b.row_bands [| b.col_bands.(fin_col) |]
+        | None -> Array.sub b.row_bands 0 p'.Lp.Model.nr
       in
       let built' =
         {
           b with
           problem = p';
-          meta;
           deadline_row = deadline_row';
           objective;
           row_bands = row_bands';

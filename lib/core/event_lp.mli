@@ -151,22 +151,26 @@ val switch_objective :
     on handles prepared with [~presolve:false].  Counted in
     {!Lp.Stats} as an objective-mode switch. *)
 
-(** {2 Structural what-if edits}
+(** {2 What-if edits}
 
     Domain-level perturbations of a prepared model — the interactive
-    "what happens if" layer: each compiles to a list of elementary
-    {!Lp.Edit} operations on the prepared LP, so the re-solve can map
-    the previous optimal basis across the structural change (bordered
-    updates) and dual-repair instead of solving from scratch. *)
+    "what happens if" layer: each compiles to bound, RHS and coefficient
+    edits ({!Lp.Edit.Set_bounds}, {!Lp.Edit.Set_rhs},
+    {!Lp.Edit.Set_entry}) of the prepared LP, never to a structural one,
+    so the LP keeps its shape, the previous optimal basis stays a basis,
+    and the re-solve dual-repairs from it instead of solving from
+    scratch. *)
 
 type domain_edit =
   | Fail_socket of int
       (** rank's socket loses its DVFS/thread headroom: every task on
           the rank is pinned to its most frugal frontier point *)
   | Drop_rank of int
-      (** remove the rank's tasks from the optimization entirely
-          (weight variables and convexity rows deleted; the precedence
-          arcs remain as pure message delays) *)
+      (** remove the rank's tasks from the optimization entirely: their
+          weight variables are fixed at zero and their convexity rows
+          ask for zero weight, which has the optimum of deleting those
+          rows and columns; the precedence arcs remain as pure message
+          delays *)
   | Perturb_task of { tid : int; point : int; duration : float; power : float }
       (** overwrite one frontier point's (duration, power) — e.g. a
           measured correction to a task's profile *)
@@ -191,10 +195,10 @@ val edit_scenario : Scenario.t -> domain_edit list -> Scenario.t
 
 val compile_edits : prepared -> domain_edit list -> Lp.Edit.t list
 (** The elementary LP edits a domain-edit list compiles to against this
-    prepared model (rows/columns located by name, sequentially
-    re-resolved as the shape evolves).  Raises [Invalid_argument] when
-    {!check_edits} rejects the edits.  Exposed for tests and
-    benchmarks. *)
+    prepared model: only [Set_bounds], [Set_rhs] and [Set_entry], at the
+    row and column indices the model was built with, so the list applies
+    in one pass.  Raises [Invalid_argument] when {!check_edits} rejects
+    the edits.  Exposed for tests and benchmarks. *)
 
 val prepared_problem : prepared -> Lp.Model.problem
 (** The prepared model's full compiled problem (the space {!compile_edits}
@@ -208,14 +212,15 @@ val edit_prepared :
   domain_edit list ->
   outcome * prepared * Lp.Revised.basis option
 (** [edit_prepared pz edits ~warm] applies the edits and re-solves
-    incrementally: [warm] (a basis from {!solve_prepared} on this same
-    handle) is mapped across the structural changes and dual-repaired;
-    on any singular/ill-conditioned mapping the solve silently falls
-    back to cold, so the result is always exactly the edited problem's
-    optimum.  Returns the outcome, a new prepared handle for the edited
-    world (chainable: further caps via {!solve_prepared}, further edits
-    via [edit_prepared]), and the final basis.  A warm basis is only
-    usable when the handle was prepared with [~presolve:false] (the
+    incrementally: the edited LP has the prepared LP's shape, so [warm]
+    (a basis from {!solve_prepared} on this same handle) seeds the dual
+    simplex as it stands; should the warm start prove irreparable the
+    solve falls back to cold, so the result is always exactly the edited
+    problem's optimum.  The schedule's [stats] report the prepared LP's
+    rows and columns.  Returns the outcome, a new prepared handle for the
+    edited world (chainable: further caps via {!solve_prepared}, further
+    edits via [edit_prepared]), and the final basis.  A warm basis is
+    only usable when the handle was prepared with [~presolve:false] (the
     basis must live in the full space); otherwise it is ignored.
     Raises [Invalid_argument], before solving, when {!check_edits}
     rejects the edits. *)

@@ -1,12 +1,13 @@
 (** Structural-edit benchmark (see editbench.mli).
 
     Protocol, per single domain edit: the edit is compiled to elementary
-    {!Lp.Edit} operations against a [~presolve:false] prepared model (the
-    full column space, so the optimal basis is mappable), then
+    {!Lp.Edit} value edits against a [~presolve:false] prepared model (the
+    full column space, so the optimal basis is a basis of the edited LP),
+    then
 
     - {b cold}: apply the edits and solve the edited LP from scratch;
-    - {b incremental}: {!Lp.Edit.resolve} — map the base optimum's basis
-      across the edits (bordered updates) and dual-repair.
+    - {b incremental}: {!Lp.Edit.resolve} — warm-start from the base
+      optimum's basis and dual-repair.
 
     Both sides include the edit application itself, so the comparison is
     end-to-end what-if latency.  Walls are the minimum of [reps] runs;

@@ -47,7 +47,10 @@ type t =
 val pp : Format.formatter -> t -> unit
 
 val apply : Model.problem -> t list -> Model.problem
-(** Apply the edits in order and return the edited problem.  Raises
+(** Apply the edits in order and return the edited problem.  Each run of
+    consecutive value edits ([Set_bounds], [Set_obj], [Set_rhs],
+    [Set_entry]) is applied in one pass, with at most one rebuild of the
+    matrix; each structural edit rebuilds it.  Raises
     [Invalid_argument] on an out-of-range index, [lb > ub], or a
     non-finite coefficient/RHS. *)
 

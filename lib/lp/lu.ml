@@ -530,12 +530,10 @@ let reach_ptr sw (ptr : int array) (ind : int array) ~nseeds ~(out : int array)
 (* Bordered basis updates                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Growing a factorized basis B by one bordered row/column, or shrinking
-   it by one row together with one basis column, reduces to triangular
-   solves against the existing factors: the Schur-complement pivot of
-   the bordered system is the eta diagonal the grown factorization would
-   pivot on, and the unit solves below expose, position by position, the
-   pivot magnitude available to each candidate pairing of a deletion.
+(* Shrinking a factorized basis B by one row together with one basis
+   column reduces to a triangular solve against the existing factors:
+   the unit solves below expose, position by position, the pivot
+   magnitude available to each candidate pairing of a deletion.
    Lp.Edit uses these to map a basis across structural edits; a tiny
    pivot means the paired update would be singular and the caller falls
    back to a cold solve. *)
@@ -553,13 +551,6 @@ let unit_btran t ~pos =
   c.(pos) <- 1.0;
   solve_t t ~c ~y ~scratch;
   y
-
-let bordered_pivot t ~col ~row ~d =
-  let b = Array.make t.m 0.0 in
-  List.iter (fun (i, v) -> b.(i) <- b.(i) +. v) col;
-  let x = Array.make t.m 0.0 and scratch = Array.make t.m 0.0 in
-  solve t ~b ~x ~scratch;
-  List.fold_left (fun acc (k, v) -> acc -. (v *. x.(k))) d row
 
 (* ------------------------------------------------------------------ *)
 (* Forrest–Tomlin updates                                              *)

@@ -64,10 +64,10 @@ val sort_prefix : int array -> int -> unit
 
 (** {2 Bordered basis updates}
 
-    Kernels behind {!Edit}'s structural warm starts: evaluating a
-    one-row/one-column growth or shrink of a factorized basis without
-    refactorizing.  Each is one triangular solve against the existing
-    factors; the returned magnitudes are the pivots the updated
+    Kernels behind {!Edit}'s structural warm starts: scoring the
+    deletion of a row or of a basis column from a factorized basis
+    without refactorizing.  Each is one triangular solve against the
+    existing factors; the returned magnitudes are the pivots the updated
     factorization would have, so a caller rejects (falls back cold) any
     pairing whose pivot is numerically tiny. *)
 
@@ -82,13 +82,6 @@ val unit_btran : t -> pos:int -> float array
     bordered pivot row for deleting the basis column at position [pos].
     [|y.(r)|] is the pivot available for standing row [r]'s slack in for
     the deleted column. *)
-
-val bordered_pivot :
-  t -> col:(int * float) list -> row:(int * float) list -> d:float -> float
-(** [bordered_pivot t ~col ~row ~d] is the Schur-complement pivot
-    [d - r ⋅ B⁻¹ c] of the bordered matrix [[B c]; [rᵀ d]]: the diagonal
-    a one-row-one-column growth would pivot on.  [col] is indexed by
-    original row, [row] by basis position. *)
 
 (** {2 Forrest–Tomlin updates}
 

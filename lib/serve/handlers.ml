@@ -149,8 +149,8 @@ let what_if ~app ~ranks ~iters ~seed ~cap ~edits () =
       2
   | _, Ok () ->
       (* The prepared handle must keep the full column space
-         (~presolve:false) so the base optimal basis can be mapped across
-         the structural edits. *)
+         (~presolve:false) so the base optimal basis can warm the edited
+         solve. *)
       let pz = Pipeline.Stages.prepare ~presolve:false sc ~power_cap:job_cap in
       let base, basis = Core.Event_lp.solve_prepared pz ~power_cap:job_cap in
       (match base with
@@ -164,26 +164,42 @@ let what_if ~app ~ranks ~iters ~seed ~cap ~edits () =
         (fun e -> Fmt.pf out "edit     : %a@." Core.Event_lp.pp_domain_edit e)
         edits;
       (* POWERLIM_WARM=0 forces the cold path; the incremental re-solve is
-         exact (cold fallback on any ill-conditioned basis mapping), so
-         stdout is byte-identical either way. *)
+         exact, so stdout is byte-identical either way. *)
       let warm = if Experiments.Common.warm_default () then basis else None in
-      (match Core.Event_lp.edit_prepared ?warm pz edits with
+      match Core.Event_lp.edit_prepared ?warm pz edits with
       | Core.Event_lp.Schedule s, _, _ ->
           Fmt.pf out "what-if  : %.4f s (LP: %d rows, %d cols)@."
             s.Core.Event_lp.objective s.Core.Event_lp.stats.Core.Event_lp.rows
             s.Core.Event_lp.stats.Core.Event_lp.cols;
-          (* pivot counts differ between the incremental and cold paths;
-             keep them off stdout so POWERLIM_WARM never changes output *)
-          Fmt.pf err "what-if: %d simplex iterations@."
-            s.Core.Event_lp.stats.Core.Event_lp.iterations;
           (match base with
           | Core.Event_lp.Schedule b ->
               let d = s.Core.Event_lp.objective -. b.Core.Event_lp.objective in
               Fmt.pf out "delta    : %+.4f s (%+.2f%%)@." d
                 (100.0 *. d /. b.Core.Event_lp.objective)
-          | _ -> ())
+          | _ -> ());
+          (* the schedule is checked in the world it was solved for *)
+          let v =
+            Core.Replay.validate
+              (Core.Event_lp.edit_scenario sc edits)
+              s ~power_cap:job_cap
+          in
+          Fmt.pf out "replay   : within cap: %b@." v.Core.Replay.within_cap;
+          (* the warm and cold paths may stop at different optimal
+             vertices, with different pivot counts and replays; keep
+             those off stdout so POWERLIM_WARM never changes output *)
+          Fmt.pf err
+            "what-if: %d simplex iterations; replay %.4f s, max sustained \
+             power %.1f W@."
+            s.Core.Event_lp.stats.Core.Event_lp.iterations
+            v.Core.Replay.replay_makespan v.Core.Replay.max_power;
+          if v.Core.Replay.within_cap then 0
+          else begin
+            pp_cap_violation err v ~job_cap;
+            1
+          end
       | Core.Event_lp.Infeasible, _, _ ->
-          Fmt.pf out "what-if  : infeasible under the edited scenario@."
+          Fmt.pf out "what-if  : infeasible under the edited scenario@.";
+          0
       | Core.Event_lp.Solver_failure m, _, _ ->
-          Fmt.pf out "what-if  : solver failure: %s@." m);
-      0
+          Fmt.pf out "what-if  : solver failure: %s@." m;
+          0

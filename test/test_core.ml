@@ -225,6 +225,98 @@ let test_solve_refined_flag_plumbing () =
         v.Core.Replay.within_cap
   | _ -> Alcotest.fail "both solves should succeed"
 
+(* A what-if edit keeps the LP's shape (every domain edit compiles to
+   bound, RHS and coefficient edits), reaches the cold optimum of the
+   edited scenario from the base basis without any fallback, and its
+   schedule replays within the cap in the edited world.  The chain
+   applies a perturbation to the handle and basis a failure returned. *)
+let test_edit_prepared () =
+  List.iter
+    (fun app ->
+      let name = Workloads.Apps.app_name app in
+      let sc =
+        Core.Scenario.make
+          (Workloads.Apps.generate app
+             { Workloads.Apps.default_params with nranks = 4; iterations = 3 })
+      in
+      let cap = 40.0 *. 4.0 in
+      let pz = Core.Event_lp.prepare ~presolve:false sc ~power_cap:cap in
+      let base, basis = Core.Event_lp.solve_prepared pz ~power_cap:cap in
+      let shape (s : Core.Event_lp.schedule) =
+        (s.Core.Event_lp.stats.Core.Event_lp.rows,
+         s.Core.Event_lp.stats.Core.Event_lp.cols)
+      in
+      let base_shape =
+        match base with
+        | Core.Event_lp.Schedule s -> shape s
+        | _ -> Alcotest.failf "%s: base solve failed" name
+      in
+      let fr = sc.Core.Scenario.frontiers in
+      let live r =
+        let tasks = sc.Core.Scenario.graph.Dag.Graph.tasks in
+        let rec go tid =
+          if Array.length fr.(tid) > 1 && tasks.(tid).Dag.Graph.rank = r then tid
+          else go (tid + 1)
+        in
+        go 0
+      in
+      let perturb tid point =
+        let pt = fr.(tid).(point) in
+        Core.Event_lp.Perturb_task
+          {
+            tid;
+            point;
+            duration = pt.Pareto.Point.duration *. 1.07;
+            power = pt.Pareto.Point.power *. 0.96;
+          }
+      in
+      let t0 = live 0 in
+      let run what ?(drop = false) pz warm des ~total =
+        let what = Printf.sprintf "%s %s" name what in
+        List.iter
+          (fun e ->
+            match e with
+            | Lp.Edit.Set_bounds _ | Lp.Edit.Set_rhs _ | Lp.Edit.Set_entry _ -> ()
+            | e -> Alcotest.failf "%s: compiles to %a" what Lp.Edit.pp e)
+          (Core.Event_lp.compile_edits pz des);
+        let st0 = Lp.Stats.snapshot () in
+        let o, pz', basis' = Core.Event_lp.edit_prepared ?warm pz des in
+        let st1 = Lp.Stats.snapshot () in
+        let sc' = Core.Event_lp.edit_scenario sc total in
+        let cold =
+          Core.Event_lp.solve ~init:(Core.Event_lp.initial_times sc) sc'
+            ~power_cap:cap
+        in
+        (match (o, cold) with
+        | Core.Event_lp.Schedule s, Core.Event_lp.Schedule c ->
+            Alcotest.(check (pair int int)) (what ^ ": base shape") base_shape
+              (shape s);
+            let x = s.Core.Event_lp.objective and y = c.Core.Event_lp.objective in
+            if Float.abs (x -. y) > 1e-9 *. Float.abs y then
+              Alcotest.failf "%s: objective %.12g, cold %.12g" what x y;
+            let v = Core.Replay.validate sc' s ~power_cap:cap in
+            if not v.Core.Replay.within_cap then
+              Alcotest.failf "%s: replays at %.1f W over %.0f W" what
+                v.Core.Replay.max_power cap
+        | _ -> Alcotest.failf "%s: edited or cold solve failed" what);
+        if drop then begin
+          Alcotest.(check int) (what ^ ": edit fallbacks") 0
+            (st1.Lp.Stats.edit_fallbacks - st0.Lp.Stats.edit_fallbacks);
+          Alcotest.(check int) (what ^ ": warm fallbacks") 0
+            (st1.Lp.Stats.warm_fallbacks - st0.Lp.Stats.warm_fallbacks)
+        end;
+        (pz', basis')
+      in
+      let des = [ Core.Event_lp.Drop_rank 1 ] in
+      ignore (run "drop" ~drop:true pz basis des ~total:des);
+      let des = [ perturb t0 (Array.length fr.(t0) / 2) ] in
+      ignore (run "perturb" pz basis des ~total:des);
+      let fail = [ Core.Event_lp.Fail_socket 2 ] in
+      let pz', basis' = run "fail" pz basis fail ~total:fail in
+      let des = [ perturb (live 2) 0 ] in
+      ignore (run "fail then perturb" pz' basis' des ~total:(fail @ des)))
+    Workloads.Apps.all_apps
+
 (* ------------------------------------------------------------------ *)
 (* Flow ILP                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -352,6 +444,8 @@ let suite =
         Alcotest.test_case "refined sound" `Quick test_solve_refined_sound;
         Alcotest.test_case "refined flag plumbing" `Quick
           test_solve_refined_flag_plumbing;
+        Alcotest.test_case "edit_prepared keeps shape, matches cold" `Quick
+          test_edit_prepared;
       ] );
     ( "core.flow_ilp",
       [
