@@ -147,25 +147,34 @@ let tighten (lo, hi) lo' hi' =
   let lo = max lo lo' and hi = min hi hi' in
   if lo > hi +. 1e-7 then None else Some (lo, min hi (max lo hi))
 
-let reduce (p : Model.problem) : outcome =
+let reduce_untimed (p : Model.problem) : outcome =
   let nv = p.Model.nv and nr = p.Model.nr in
   let lo = Array.copy p.Model.lb and hi = Array.copy p.Model.ub in
   let obj = Array.copy p.Model.obj in
   let row_alive = Array.make nr true in
   let infeasible = ref false in
-  (* Row-oriented working copy of the matrix. *)
+  (* Row-oriented working copy of the matrix.  [col_rows.(j)] lists every
+     row column [j] ever entered, dead rows included; [live.(j)] counts
+     j's entries in live rows, so the empty-column test is O(1). *)
   let rows : (int * float) list array = Array.make nr [] in
   let col_rows : int list array = Array.make nv [] in
+  let live = Array.make nv 0 in
   for j = 0 to nv - 1 do
     Sparse.Csc.iter_col p.Model.a j (fun i v ->
         rows.(i) <- (j, v) :: rows.(i);
-        col_rows.(j) <- i :: col_rows.(j))
+        col_rows.(j) <- i :: col_rows.(j);
+        live.(j) <- live.(j) + 1)
   done;
+  let kill_row i =
+    row_alive.(i) <- false;
+    List.iter (fun (j, _) -> live.(j) <- live.(j) - 1) rows.(i)
+  in
   let rhs = Array.copy p.Model.row_rhs in
   let state = Array.make nv Kept in
   let subst_order = ref [] in
   let gone j = state.(j) <> Kept in
-  (* Remove variable [j] from row [i], returning its (merged) coefficient. *)
+  (* Remove variable [j] from row [i], returning its (merged)
+     coefficient.  Called on live rows only, since it lowers [live.(j)]. *)
   let take_out i j =
     let coeff = ref 0.0 in
     rows.(i) <-
@@ -173,6 +182,7 @@ let reduce (p : Model.problem) : outcome =
         (fun (j', c) ->
           if j' = j then begin
             coeff := !coeff +. c;
+            live.(j) <- live.(j) - 1;
             false
           end
           else true)
@@ -185,6 +195,7 @@ let reduce (p : Model.problem) : outcome =
       let c = c +. existing in
       if Float.abs c > 1e-13 then begin
         rows.(i) <- (j, c) :: rows.(i);
+        live.(j) <- live.(j) + 1;
         if not (List.mem i col_rows.(j)) then col_rows.(j) <- i :: col_rows.(j)
       end
     end
@@ -253,7 +264,7 @@ let reduce (p : Model.problem) : outcome =
               | Model.Eq -> Float.abs rhs.(i) <= 1e-7
             in
             if not ok then infeasible := true;
-            row_alive.(i) <- false;
+            kill_row i;
             changed := true
         | [ (j, c) ] when not (gone j) ->
             let b = rhs.(i) /. c in
@@ -268,7 +279,7 @@ let reduce (p : Model.problem) : outcome =
             | Some (l, h) ->
                 lo.(j) <- l;
                 hi.(j) <- h);
-            row_alive.(i) <- false;
+            kill_row i;
             changed := true
         | [ (x, a); (y, b) ]
           when p.Model.row_sense.(i) = Model.Eq
@@ -281,7 +292,7 @@ let reduce (p : Model.problem) : outcome =
               if Float.abs a >= Float.abs b then (x, a, y, b) else (y, b, x, a)
             in
             if Float.abs a > 1e-9 then begin
-              row_alive.(i) <- false;
+              kill_row i;
               substitute x ~y ~scale:(-.b /. a) ~offset:(rhs.(i) /. a);
               changed := true
             end
@@ -290,27 +301,19 @@ let reduce (p : Model.problem) : outcome =
     done;
     (* empty columns *)
     for j = 0 to nv - 1 do
-      if (not (gone j)) && not p.Model.integer.(j) then begin
-        let still_present =
-          List.exists
-            (fun i ->
-              row_alive.(i) && List.exists (fun (j', _) -> j' = j) rows.(i))
-            col_rows.(j)
+      if (not (gone j)) && (not p.Model.integer.(j)) && live.(j) = 0 then begin
+        let c = obj.(j) in
+        let v =
+          if c > 0.0 then lo.(j)
+          else if c < 0.0 then hi.(j)
+          else if Float.is_finite lo.(j) then lo.(j)
+          else min hi.(j) 0.0
         in
-        if not still_present then begin
-          let c = obj.(j) in
-          let v =
-            if c > 0.0 then lo.(j)
-            else if c < 0.0 then hi.(j)
-            else if Float.is_finite lo.(j) then lo.(j)
-            else min hi.(j) 0.0
-          in
-          if Float.is_finite v then begin
-            fix j v;
-            changed := true
-          end
-          (* otherwise: unbounded direction; left for the simplex *)
+        if Float.is_finite v then begin
+          fix j v;
+          changed := true
         end
+        (* otherwise: unbounded direction; left for the simplex *)
       end
     done
   done;
@@ -363,6 +366,18 @@ let reduce (p : Model.problem) : outcome =
         col_scale;
       }
   end
+
+let reduce (p : Model.problem) : outcome =
+  let t0 = Unix.gettimeofday () in
+  let o = reduce_untimed p in
+  let rows_dropped, cols_dropped =
+    match o with
+    | Reduced r -> (r.dropped_rows, r.dropped_cols)
+    | Proven_infeasible -> (0, 0)
+  in
+  Stats.note_presolve ~rows_dropped ~cols_dropped
+    ~wall:(Unix.gettimeofday () -. t0);
+  o
 
 (** Map a reduced-space solution back to the original variables.  [x] is
     in the {e scaled} reduced space (as returned by solving

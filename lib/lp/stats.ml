@@ -30,6 +30,10 @@ type snapshot = {
   refactorizations : int;  (** alias of [factorizations] *)
   fill_ratio_max : float;  (** worst Forrest–Tomlin fill ratio (process max) *)
   scale_passes : int;  (** equilibration passes run by {!Presolve} *)
+  presolve_calls : int;  (** {!Presolve.reduce} calls *)
+  presolve_s : float;  (** summed wall time inside {!Presolve.reduce} *)
+  presolve_rows_dropped : int;  (** rows removed, summed over reductions *)
+  presolve_cols_dropped : int;  (** columns removed, summed over reductions *)
   obj_mode_switches : int;
       (** prepared handles switched between objective modes
           ({!Core.Event_lp.switch_objective}) *)
@@ -56,6 +60,10 @@ let edit_warm = Atomic.make 0
 let edit_fallbacks = Atomic.make 0
 let ft_updates = Atomic.make 0
 let scale_passes = Atomic.make 0
+let presolve_calls = Atomic.make 0
+let presolve_ns = Atomic.make 0
+let presolve_rows_dropped = Atomic.make 0
+let presolve_cols_dropped = Atomic.make 0
 let obj_mode_switches = Atomic.make 0
 let reclaim_passes = Atomic.make 0
 let wall_ns = Atomic.make 0
@@ -99,6 +107,10 @@ let reset () =
       edit_fallbacks;
       ft_updates;
       scale_passes;
+      presolve_calls;
+      presolve_ns;
+      presolve_rows_dropped;
+      presolve_cols_dropped;
       obj_mode_switches;
       reclaim_passes;
       wall_ns;
@@ -136,6 +148,13 @@ let note_ft ~updates ~fill_max =
   note_fill_ratio fill_max
 
 let note_scale_pass () = ignore (Atomic.fetch_and_add scale_passes 1)
+
+let note_presolve ~rows_dropped ~cols_dropped ~wall =
+  ignore (Atomic.fetch_and_add presolve_calls 1);
+  ignore (Atomic.fetch_and_add presolve_rows_dropped rows_dropped);
+  ignore (Atomic.fetch_and_add presolve_cols_dropped cols_dropped);
+  ignore (Atomic.fetch_and_add presolve_ns (int_of_float (wall *. 1e9)))
+
 let note_mode_switch () = ignore (Atomic.fetch_and_add obj_mode_switches 1)
 
 let note_reclaim ~base_j ~reclaimed_j =
@@ -169,6 +188,10 @@ let snapshot () =
     refactorizations = Atomic.get factorizations;
     fill_ratio_max = Atomic.get fill_ratio_max_a;
     scale_passes = Atomic.get scale_passes;
+    presolve_calls = Atomic.get presolve_calls;
+    presolve_s = Float.of_int (Atomic.get presolve_ns) *. 1e-9;
+    presolve_rows_dropped = Atomic.get presolve_rows_dropped;
+    presolve_cols_dropped = Atomic.get presolve_cols_dropped;
     obj_mode_switches = Atomic.get obj_mode_switches;
     reclaim_passes = Atomic.get reclaim_passes;
     reclaimed_joules_pct =
@@ -204,6 +227,10 @@ let () =
           ("refactorizations", Putil.Obs.Int s.refactorizations);
           ("fill_ratio_max", Putil.Obs.Float s.fill_ratio_max);
           ("scale_passes", Putil.Obs.Int s.scale_passes);
+          ("presolve_calls", Putil.Obs.Int s.presolve_calls);
+          ("presolve_s", Putil.Obs.Float s.presolve_s);
+          ("presolve_rows_dropped", Putil.Obs.Int s.presolve_rows_dropped);
+          ("presolve_cols_dropped", Putil.Obs.Int s.presolve_cols_dropped);
           ("obj_mode_switches", Putil.Obs.Int s.obj_mode_switches);
           ("reclaim_passes", Putil.Obs.Int s.reclaim_passes);
           ("reclaimed_joules_pct", Putil.Obs.Float s.reclaimed_joules_pct);
@@ -213,6 +240,9 @@ let () =
 let pp ppf (s : snapshot) =
   Fmt.pf ppf
     "%d solves (%d cold, %d warm, %d fallbacks), %d pivots (%d primal, %d \
-     dual, %d flips), %d factorizations, %.3f s"
+     dual, %d flips), %d factorizations, %.3f s; %d presolves (%d rows, %d \
+     cols dropped), %.3f s"
     s.solves s.cold_solves s.warm_solves s.warm_fallbacks s.pivots
     s.primal_pivots s.dual_pivots s.bound_flips s.factorizations s.wall_s
+    s.presolve_calls s.presolve_rows_dropped s.presolve_cols_dropped
+    s.presolve_s

@@ -2,7 +2,9 @@
 
     {!Revised.solve} reports every solve: cold vs warm start, the
     primal/dual pivot split, bound flips, basis factorizations and wall
-    time.  Reset before the region you want to measure, snapshot after;
+    time; {!Presolve.reduce} reports every reduction, with its own wall
+    time outside the solve's.  Reset before the region you want to
+    measure, snapshot after;
     [warmbench] and the benchmark harness are the main consumers. *)
 
 type snapshot = {
@@ -33,6 +35,15 @@ type snapshot = {
       (** worst Forrest–Tomlin fill ratio observed (process max) *)
   scale_passes : int;
       (** geometric-mean equilibration passes run by {!Presolve} *)
+  presolve_calls : int;  (** {!Presolve.reduce} calls *)
+  presolve_s : float;
+      (** summed wall time inside {!Presolve.reduce}, equilibration
+          included *)
+  presolve_rows_dropped : int;
+      (** rows the reductions removed, summed over calls *)
+  presolve_cols_dropped : int;
+      (** columns the reductions fixed or substituted out, summed over
+          calls *)
   obj_mode_switches : int;
       (** prepared handles switched between objective modes
           ({!Core.Event_lp.switch_objective}) *)
@@ -77,6 +88,10 @@ val note_ft : updates:int -> fill_max:float -> unit
 
 val note_scale_pass : unit -> unit
 (** Count one equilibration pass (called by {!Presolve}). *)
+
+val note_presolve : rows_dropped:int -> cols_dropped:int -> wall:float -> unit
+(** Count one {!Presolve.reduce}: the rows and columns it dropped (0
+    when it proved the model infeasible) and its wall time. *)
 
 val note_mode_switch : unit -> unit
 (** Count one objective-mode switch of a prepared event LP. *)

@@ -317,6 +317,93 @@ let test_edit_prepared () =
       ignore (run "fail then perturb" pz' basis' des ~total:(fail @ des)))
     Workloads.Apps.all_apps
 
+(* MD5 of a reduction's arrays rendered with %h, so any changed bit of
+   the reduced matrix, bounds, objective, RHS, index maps, variable
+   dispositions or scale factors changes it. *)
+let reduction_md5 (r : Lp.Presolve.reduction) =
+  let b = Buffer.create 4096 in
+  let p = r.Lp.Presolve.problem in
+  let ints xs = Array.iter (Printf.bprintf b "%d,") xs; Buffer.add_char b ';' in
+  let floats xs = Array.iter (Printf.bprintf b "%h,") xs; Buffer.add_char b ';' in
+  ints p.Lp.Model.a.Lp.Sparse.Csc.colptr;
+  ints p.Lp.Model.a.Lp.Sparse.Csc.rowind;
+  floats p.Lp.Model.a.Lp.Sparse.Csc.values;
+  List.iter floats [ p.Lp.Model.lb; p.Lp.Model.ub; p.Lp.Model.obj; p.Lp.Model.row_rhs ];
+  ints r.Lp.Presolve.keep_vars;
+  ints r.Lp.Presolve.kept_rows;
+  Array.iter
+    (function
+      | Lp.Presolve.Kept -> Buffer.add_string b "K,"
+      | Lp.Presolve.Fixed v -> Printf.bprintf b "F%h," v
+      | Lp.Presolve.Subst { of_var; scale; offset } ->
+          Printf.bprintf b "S%d:%h:%h," of_var scale offset)
+    r.Lp.Presolve.state;
+  floats r.Lp.Presolve.row_scale;
+  floats r.Lp.Presolve.col_scale;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every event-LP reduction at 4x3 and 40 W/socket, in makespan mode and
+   in energy mode at a fixed deadline (about 1.5x the makespan bound),
+   pinned bit for bit: a change to the build or to presolve that moves
+   any reduced byte fails here, not only in the sweep's stdout. *)
+let test_presolve_reductions_pinned () =
+  let pinned =
+    [
+      (Workloads.Apps.CoMD, None,
+       (29, 267, 816, 6, 2, "b6c0aad63595a880216c3898ba59312b"));
+      (Workloads.Apps.CoMD, Some 4.0,
+       (29, 267, 816, 7, 2, "4d000a063b70a5139bfc15d49310d17a"));
+      (Workloads.Apps.LULESH, None,
+       (113, 503, 2468, 14, 6, "8ffe9c193f8d1121b243ab3e30552d2c"));
+      (Workloads.Apps.LULESH, Some 18.5,
+       (113, 503, 2468, 15, 6, "6ec0fa1e77a1e6fb19b47b04976df985"));
+      (Workloads.Apps.SP, None,
+       (110, 550, 2654, 16, 7, "fa13cf1fa7cc50ca1d0ce90c9dfe57be"));
+      (Workloads.Apps.SP, Some 3.7,
+       (110, 550, 2654, 17, 7, "8499f8cc82a676f0ab04a94822da1ad8"));
+      (Workloads.Apps.BT, None,
+       (110, 574, 2746, 16, 7, "bc1ec472cf223cbd9b2425679745190c"));
+      (Workloads.Apps.BT, Some 5.0,
+       (110, 574, 2746, 17, 7, "296485b33ce703b4f9db854f281a9016"));
+    ]
+  in
+  List.iter
+    (fun (app, deadline, (nr, nv, nnz, drows, dcols, md5)) ->
+      let g =
+        Workloads.Apps.generate app
+          { Workloads.Apps.default_params with nranks = 4; iterations = 3 }
+      in
+      let objective =
+        Option.map
+          (fun deadline -> Core.Objective.Energy_under_deadline { deadline })
+          deadline
+      in
+      let p =
+        Core.Event_lp.prepared_problem
+          (Core.Event_lp.prepare ~presolve:false ?objective (Core.Scenario.make g)
+             ~power_cap:160.0)
+      in
+      match Lp.Presolve.reduce p with
+      | Lp.Presolve.Proven_infeasible -> Alcotest.fail "not infeasible"
+      | Lp.Presolve.Reduced r ->
+          let q = r.Lp.Presolve.problem in
+          let what =
+            Printf.sprintf "%s %s" (Workloads.Apps.app_name app)
+              (match deadline with None -> "makespan" | Some d -> Printf.sprintf "energy %g s" d)
+          in
+          Alcotest.(check (list int))
+            (what ^ ": nr, nv, nnz, dropped rows, dropped cols")
+            [ nr; nv; nnz; drows; dcols ]
+            [
+              q.Lp.Model.nr;
+              q.Lp.Model.nv;
+              Lp.Sparse.Csc.nnz q.Lp.Model.a;
+              r.Lp.Presolve.dropped_rows;
+              r.Lp.Presolve.dropped_cols;
+            ];
+          Alcotest.(check string) (what ^ ": reduction MD5") md5 (reduction_md5 r))
+    pinned
+
 (* ------------------------------------------------------------------ *)
 (* Flow ILP                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -446,6 +533,8 @@ let suite =
           test_solve_refined_flag_plumbing;
         Alcotest.test_case "edit_prepared keeps shape, matches cold" `Quick
           test_edit_prepared;
+        Alcotest.test_case "presolve reductions pinned" `Quick
+          test_presolve_reductions_pinned;
       ] );
     ( "core.flow_ilp",
       [

@@ -693,6 +693,156 @@ let test_presolve_doubleton_bound_transfer () =
   check_float "x" 1.0 r.Lp.Revised.x.(0);
   ignore (x, y)
 
+(* x - y = 0 and x - y + z >= 1, all in [0, 5], minimize x + y + z.  The
+   doubleton row eliminates y as x, which cancels x out of the second
+   row; that row is then the singleton z >= 1.  Both x and z end up in
+   no live row, so presolve fixes them and solves the model outright. *)
+let cancelling_model () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~ub:5.0 ~obj:1.0 "x" in
+  let y = Lp.Model.add_var m ~ub:5.0 ~obj:1.0 "y" in
+  let z = Lp.Model.add_var m ~ub:5.0 ~obj:1.0 "z" in
+  Lp.Model.add_constr m [ (1.0, x); (-1.0, y) ] Lp.Model.Eq 0.0;
+  Lp.Model.add_constr m [ (1.0, x); (-1.0, y); (1.0, z) ] Lp.Model.Ge 1.0;
+  Lp.Model.compile m
+
+let reduce_exn p =
+  match Lp.Presolve.reduce p with
+  | Lp.Presolve.Reduced r -> r
+  | Lp.Presolve.Proven_infeasible -> Alcotest.fail "not infeasible"
+
+let test_presolve_cancellation () =
+  let r = reduce_exn (cancelling_model ()) in
+  match r.Lp.Presolve.state.(0) with
+  | Lp.Presolve.Fixed v -> check_float "x fixed at its lower bound" 0.0 v
+  | _ -> Alcotest.fail "x cancelled out of every live row but was not fixed"
+
+let test_presolve_singleton_death () =
+  let p = cancelling_model () in
+  let r = reduce_exn p in
+  (match r.Lp.Presolve.state.(2) with
+  | Lp.Presolve.Fixed v -> check_float "z fixed at the singleton's bound" 1.0 v
+  | _ -> Alcotest.fail "z left only in a dead singleton row but was not fixed");
+  Alcotest.(check int) "dropped cols" 3 r.Lp.Presolve.dropped_cols;
+  Alcotest.(check (pair int int)) "reduced to 0x0" (0, 0)
+    (r.Lp.Presolve.problem.Lp.Model.nr, r.Lp.Presolve.problem.Lp.Model.nv);
+  check_float "objective" 1.0 (Lp.Presolve.solve p).Lp.Revised.objective
+
+let test_presolve_counters () =
+  let s0 = Lp.Stats.snapshot () in
+  ignore (reduce_exn (cancelling_model ()));
+  let s1 = Lp.Stats.snapshot () in
+  Alcotest.(check (list int)) "calls, rows dropped, cols dropped" [ 1; 2; 3 ]
+    [
+      s1.Lp.Stats.presolve_calls - s0.Lp.Stats.presolve_calls;
+      s1.Lp.Stats.presolve_rows_dropped - s0.Lp.Stats.presolve_rows_dropped;
+      s1.Lp.Stats.presolve_cols_dropped - s0.Lp.Stats.presolve_cols_dropped;
+    ];
+  Alcotest.(check bool) "wall time summed" true
+    (s1.Lp.Stats.presolve_s >= s0.Lp.Stats.presolve_s);
+  match Putil.Obs.stats_json () with
+  | Putil.Obs.Assoc kvs -> (
+      match List.assoc_opt "lp" kvs with
+      | Some (Putil.Obs.Assoc lp) ->
+          List.iter
+            (fun k ->
+              Alcotest.(check bool) ("lp stats carry " ^ k) true (List.mem_assoc k lp))
+            [ "presolve_calls"; "presolve_s"; "presolve_rows_dropped"; "presolve_cols_dropped" ]
+      | _ -> Alcotest.fail "no lp stats provider")
+  | _ -> Alcotest.fail "stats_json is not an object"
+
+(* Sparse random LPs that presolve acts on ([random_model]'s dense rows
+   rarely let it): each row touches 0-3 distinct columns and about half
+   are equalities; some columns are fixed, some free below, some in no
+   row.  Each RHS is the row's value at a random point inside the
+   bounds, so most models are feasible. *)
+let random_sparse_model rng =
+  let open QCheck.Gen in
+  let nv = 1 + int_bound 7 rng and nr = int_bound 7 rng in
+  let m = Lp.Model.create () in
+  let point = Array.make nv 0.0 in
+  let vars =
+    Array.init nv (fun j ->
+        let obj = if int_bound 3 rng = 0 then 0.0 else float_range (-3.0) 3.0 rng in
+        let lb, ub =
+          match int_bound 4 rng with
+          | 0 ->
+              let v = float_range (-2.0) 2.0 rng in
+              point.(j) <- v;
+              (v, v)
+          | 1 ->
+              let ub = float_range (-1.0) 4.0 rng in
+              point.(j) <- ub -. float_bound_inclusive 3.0 rng;
+              (Float.neg_infinity, ub)
+          | _ ->
+              let lb = float_range (-2.0) 2.0 rng in
+              let w = float_range 0.5 5.0 rng in
+              point.(j) <- lb +. float_bound_inclusive w rng;
+              (lb, lb +. w)
+        in
+        Lp.Model.add_var m ~lb ~ub ~obj (Printf.sprintf "x%d" j))
+  in
+  for _ = 1 to nr do
+    let k = min nv (int_bound 3 rng) in
+    let cols = List.filteri (fun i _ -> i < k) (shuffle_l (List.init nv Fun.id) rng) in
+    let terms =
+      List.map
+        (fun j ->
+          let c = float_range 0.5 3.0 rng in
+          ((if bool rng then c else -.c), j))
+        cols
+    in
+    let at_point = List.fold_left (fun s (c, j) -> s +. (c *. point.(j))) 0.0 terms in
+    let sense, rhs =
+      match int_bound 3 rng with
+      | 0 | 1 -> (Lp.Model.Eq, at_point)
+      | 2 -> (Lp.Model.Le, at_point +. float_bound_inclusive 2.0 rng)
+      | _ -> (Lp.Model.Ge, at_point -. float_bound_inclusive 2.0 rng)
+    in
+    Lp.Model.add_constr m (List.map (fun (c, j) -> (c, vars.(j))) terms) sense rhs
+  done;
+  Lp.Model.compile m
+
+let prop_presolve_sparse =
+  QCheck.Test.make ~count:500 ~name:"presolve reaches its fixpoint on sparse LPs"
+    QCheck.(make (fun rng -> random_sparse_model rng))
+    (fun p ->
+      (match Lp.Presolve.reduce p with
+      | Lp.Presolve.Proven_infeasible -> ()
+      | Lp.Presolve.Reduced r ->
+          let q = r.Lp.Presolve.problem in
+          let colptr = q.Lp.Model.a.Lp.Sparse.Csc.colptr in
+          for k = 0 to q.Lp.Model.nv - 1 do
+            let c = q.Lp.Model.obj.(k) in
+            if
+              colptr.(k) = colptr.(k + 1)
+              && not
+                   (q.Lp.Model.integer.(k)
+                   || (c > 0.0 && q.Lp.Model.lb.(k) = Float.neg_infinity)
+                   || (c < 0.0 && q.Lp.Model.ub.(k) = Float.infinity))
+            then
+              QCheck.Test.fail_reportf "kept empty column %d (obj %g, [%g, %g])"
+                r.Lp.Presolve.keep_vars.(k) c q.Lp.Model.lb.(k) q.Lp.Model.ub.(k)
+          done);
+      let rd = Lp.Dense_simplex.solve p in
+      let rp = Lp.Presolve.solve p in
+      match (rd.Lp.Dense_simplex.status, rp.Lp.Revised.status) with
+      | Lp.Dense_simplex.Optimal, Lp.Revised.Optimal ->
+          let a = rd.Lp.Dense_simplex.objective and b = rp.Lp.Revised.objective in
+          if Float.abs (a -. b) > 1e-6 *. Float.max 1.0 (Float.abs a) then
+            QCheck.Test.fail_reportf "objectives differ: dense %.9g presolve %.9g" a b
+          else true
+      | Lp.Dense_simplex.Infeasible, Lp.Revised.Infeasible
+      | Lp.Dense_simplex.Unbounded, Lp.Revised.Unbounded ->
+          true
+      | _, s ->
+          QCheck.Test.fail_reportf "status mismatch: dense %s presolve %a"
+            (match rd.Lp.Dense_simplex.status with
+            | Lp.Dense_simplex.Optimal -> "optimal"
+            | Lp.Dense_simplex.Infeasible -> "infeasible"
+            | Lp.Dense_simplex.Unbounded -> "unbounded")
+            Lp.Revised.pp_status s)
+
 let prop_presolve_equivalent =
   QCheck.Test.make ~count:300 ~name:"presolve preserves the optimum"
     QCheck.(make (fun rng -> random_model rng))
@@ -1811,7 +1961,12 @@ let suite =
         Alcotest.test_case "infeasible" `Quick test_presolve_detects_infeasible;
         Alcotest.test_case "doubleton chain" `Quick test_presolve_doubleton_chain;
         Alcotest.test_case "doubleton bounds" `Quick test_presolve_doubleton_bound_transfer;
+        Alcotest.test_case "cancelled column fixed" `Quick test_presolve_cancellation;
+        Alcotest.test_case "singleton death empties column" `Quick
+          test_presolve_singleton_death;
+        Alcotest.test_case "counters" `Quick test_presolve_counters;
         QCheck_alcotest.to_alcotest prop_presolve_equivalent;
+        QCheck_alcotest.to_alcotest prop_presolve_sparse;
         QCheck_alcotest.to_alcotest prop_scaling_roundtrip;
       ] );
     ( "lp.milp",
