@@ -22,7 +22,13 @@
     ratio test with bound flips).  Any irreparable situation — basis
     singular beyond {!Lu} repair, dual-infeasible nonbasic that cannot be
     flipped — falls back to the cold primal phase-1/2 path, so a warm
-    call can never be less robust than a cold one. *)
+    call can never be less robust than a cold one.
+
+    Pricing allocates nothing per column: the column dot products are
+    inlined and every float stays unboxed.  The dual ratio test orders
+    its candidates in a heap over parallel arrays instead of sorting
+    them.  Each layer's wall time is summed in a local float array and
+    flushed to {!Stats} once per solve. *)
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 
@@ -58,6 +64,7 @@ let neg_inf = Float.neg_infinity
 let inf = Float.infinity
 
 exception Warm_fallback
+exception Invariant_broken of string
 
 (* Refactorization triggers.  The fill ratio — (L + dynamic U + row
    etas) / nonzeros at factorization, 1.0 when fresh — is the primary
@@ -73,6 +80,126 @@ type analysis = { arows : Sparse.Csc.rows }
     freely across pool domains. *)
 
 let make_analysis (p : Model.problem) = { arows = Sparse.Csc.rows p.a }
+
+(* --- columns of the working matrix [A | I | artificials] --------------
+   Structural column [j < nv] is [a]'s, slack [nv + i] is the unit column
+   of row [i], artificial [nv + m + k] is [art_sig.(k)] in row
+   [art_row.(k)].  The helpers are inlined into every scan, so the float
+   they compute never leaves a register. *)
+type cols = {
+  a : Sparse.Csc.t;
+  nv : int;
+  m : int;
+  art_row : int array;
+  art_sig : float array;
+}
+
+(* [a_j . y], summed in the Csc entry order {!Sparse.Csc.dot_col} uses. *)
+let[@inline] col_dot c j (y : float array) =
+  if j < c.nv then begin
+    let s = ref 0.0 in
+    for k = c.a.colptr.(j) to c.a.colptr.(j + 1) - 1 do
+      s := !s +. (c.a.values.(k) *. y.(c.a.rowind.(k)))
+    done;
+    !s
+  end
+  else if j < c.nv + c.m then y.(j - c.nv)
+  else c.art_sig.(j - c.nv - c.m) *. y.(c.art_row.(j - c.nv - c.m))
+
+(* [b <- b - v a_j], entry by entry in Csc order. *)
+let[@inline] col_sub c j v (b : float array) =
+  if j < c.nv then
+    for k = c.a.colptr.(j) to c.a.colptr.(j + 1) - 1 do
+      let i = c.a.rowind.(k) in
+      b.(i) <- b.(i) -. (c.a.values.(k) *. v)
+    done
+  else if j < c.nv + c.m then b.(j - c.nv) <- b.(j - c.nv) -. (1.0 *. v)
+  else begin
+    let i = c.art_row.(j - c.nv - c.m) in
+    b.(i) <- b.(i) -. (c.art_sig.(j - c.nv - c.m) *. v)
+  end
+
+(* Value of a nonbasic column at its current status. *)
+let[@inline] nb_value (nb_at : char array) (lo : float array) hi j =
+  match nb_at.(j) with 'l' -> lo.(j) | 'u' -> hi.(j) | _ -> 0.0
+
+(* --- layer timers -----------------------------------------------------
+   Exclusive wall seconds per solver layer, summed in one float array
+   per solve (no boxed float per pivot) and flushed to {!Stats} once. *)
+let l_factor = 0
+and l_ftran = 1
+and l_btran = 2
+and l_price = 3
+and l_ratio = 4
+and l_update = 5
+
+let[@inline] lap (tm : float array) layer t0 =
+  tm.(layer) <- tm.(layer) +. (Unix.gettimeofday () -. t0)
+
+(* --- dual ratio-test selection ----------------------------------------
+   Candidates are ordered by ratio ascending, then |alpha| descending,
+   then column ascending: a total order (columns are distinct), so the
+   choice never depends on gather order.  All keys are finite and
+   non-negative, so [<] and [=] agree with [Float.compare]. *)
+let[@inline] before (ratio : float array) (alpha : float array)
+    (col : int array) p q =
+  ratio.(p) < ratio.(q)
+  || ratio.(p) = ratio.(q)
+     && (alpha.(p) > alpha.(q) || (alpha.(p) = alpha.(q) && col.(p) < col.(q)))
+
+let swap (ratio : float array) (alpha : float array) (col : int array) p q =
+  let r = ratio.(p) and a = alpha.(p) and j = col.(p) in
+  ratio.(p) <- ratio.(q);
+  alpha.(p) <- alpha.(q);
+  col.(p) <- col.(q);
+  ratio.(q) <- r;
+  alpha.(q) <- a;
+  col.(q) <- j
+
+(* Restore the min-heap below position [p] of a heap of [n] entries. *)
+let rec sift_down ratio alpha col n p =
+  let l = (2 * p) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && before ratio alpha col (l + 1) l then l + 1 else l in
+    if before ratio alpha col c p then begin
+      swap ratio alpha col p c;
+      sift_down ratio alpha col n c
+    end
+  end
+
+(* Harris tolerance of the dual ratio test's second pass. *)
+let harris_dtol = 1e-7
+
+let dual_select ~ratio ~alpha ~col n ~flip =
+  for p = (n / 2) - 1 downto 0 do
+    sift_down ratio alpha col n p
+  done;
+  (* The bound-flip walk pops candidates in order while [flip] takes
+     them, and never takes the last one. *)
+  let live = ref n in
+  while !live > 1 && flip col.(0) alpha.(0) do
+    decr live;
+    swap ratio alpha col 0 !live;
+    sift_down ratio alpha col !live 0
+  done;
+  (* Harris second pass over what is left.  The strict minimum ratio
+     often rides a tiny |alpha|, and t = viol / alpha then throws the
+     entering variable far past its opposite bound — the violation
+     migrates instead of shrinking.  So admit every candidate whose
+     reduced cost would go infeasible by at most [harris_dtol] at the
+     head's ratio, and enter the largest |alpha|, ties to the earliest
+     in the order; the closing primal run repairs the bounded slack.
+     The head itself is always admitted. *)
+  let r_e = ratio.(0) in
+  let best = ref 0 in
+  for q = 1 to !live - 1 do
+    let a = alpha.(q) and b = alpha.(!best) in
+    if
+      (ratio.(q) *. a) -. (r_e *. a) <= harris_dtol
+      && (a > b || (a = b && before ratio alpha col q !best))
+    then best := q
+  done;
+  col.(!best)
 
 (* Trivial path for models without constraints. *)
 let solve_unconstrained (p : Model.problem) lo hi =
@@ -97,13 +224,16 @@ let solve_unconstrained (p : Model.problem) lo hi =
   }
 
 let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
-    ?rhs ?warm ?analysis ?bands (p : Model.problem) : result =
+    ?rhs ?warm ?analysis ?bands ?(check = false) (p : Model.problem) : result =
   let t_solve0 = Unix.gettimeofday () in
   let nv = p.nv and m = p.nr in
   let lb_s = match lb with Some a -> a | None -> p.lb in
   let ub_s = match ub with Some a -> a | None -> p.ub in
   let rhs_s = match rhs with Some a -> a | None -> p.row_rhs in
   let max_iter = if max_iter > 0 then max_iter else 20_000 + (60 * m) in
+  (* Layer times of every attempt, a warm one abandoned for cold
+     included, so that they add up to the solve's wall time. *)
+  let tm = Array.make 6 0.0 in
   (* Column layout: 0..nv-1 structural, nv..nv+m-1 slacks, then
      artificials.  [ntot] grows as artificials are added. *)
   let cap = nv + m + m in
@@ -125,7 +255,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
   done;
   if m = 0 then begin
     let r = solve_unconstrained p lo hi in
-    Stats.note_solve ~warm:false ~iterations:0 ~dual:0 ~flips:0 ~factors:0
+    Stats.note_solve ~warm:false ~iterations:0 ~phase1:0 ~dual:0 ~flips:0
+      ~factors:0
       ~wall:(Unix.gettimeofday () -. t_solve0);
     r
   end
@@ -137,27 +268,17 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
     let attempt warm_opt =
       let nart = ref 0 in
       let art_row = Array.make m (-1) and art_sig = Array.make m 1.0 in
+      let cols = { a = p.a; nv; m; art_row; art_sig } in
       let ntot () = nv + m + !nart in
       let col_iter j f =
         if j < nv then Sparse.Csc.iter_col p.a j f
         else if j < nv + m then f (j - nv) 1.0
         else f art_row.(j - nv - m) art_sig.(j - nv - m)
       in
-      let col_dot j (y : float array) =
-        if j < nv then Sparse.Csc.dot_col p.a j y
-        else if j < nv + m then y.(j - nv)
-        else art_sig.(j - nv - m) *. y.(art_row.(j - nv - m))
-      in
       let where = Array.make cap (-1) in
       let nb_at = Array.make cap 'l' in
       let basis = Array.make m 0 in
       let x_basic = Array.make m 0.0 in
-      let nbval j =
-        match nb_at.(j) with
-        | 'l' -> lo.(j)
-        | 'u' -> hi.(j)
-        | _ -> 0.0
-      in
       (match warm_opt with
       | None ->
           (* Initial nonbasic statuses for structural columns. *)
@@ -169,7 +290,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           done;
           (* Row activities of the nonbasic structural point. *)
           let act = Array.make m 0.0 in
-          let x0 = Array.init nv nbval in
+          let x0 = Array.init nv (nb_value nb_at lo hi) in
           Sparse.Csc.mult p.a x0 act;
           for i = 0 to m - 1 do
             let sj = nv + i in
@@ -220,15 +341,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                     else 'f')
           done);
       (* --- basis factorization machinery ------------------------------- *)
-      let stats_on = Sys.getenv_opt "LP_STATS" <> None in
-      let t_factor = ref 0.0
-      and t_ftran = ref 0.0
-      and t_btran = ref 0.0
-      and t_price = ref 0.0
-      and t_ratio = ref 0.0
-      and lu_nnz_total = ref 0
-      and n_factor = ref 0 in
-      let clock () = if stats_on then Sys.time () else 0.0 in
+      let n_factor = ref 0 in
       (* Staircase bands: the caller supplies per-structural-column and
          per-row stage indices; each factorization maps them onto the
          current basis (slacks and artificials inherit their row's
@@ -290,11 +403,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          {!Lu.factor} found singular, until the factorization is clean. *)
       let rec factor_repaired depth =
         if depth > 4 then failwith "Revised: unable to repair singular basis";
-        let t0 = clock () in
         let f = factor_basis () in
-        t_factor := !t_factor +. clock () -. t0;
         incr n_factor;
-        lu_nnz_total := !lu_nnz_total + Lu.nnz f;
         match f.Lu.replaced with
         | [] -> f
         | reps ->
@@ -318,21 +428,32 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          updatable U storage, rebuilt (cheaply — the workspace is reused)
          at every refactorization. *)
       let ftw = Lu.Ft.make_wsp m in
-      let ft = ref (Lu.Ft.of_factor ftw (factor_repaired 0)) in
-      let recompute_x_basic () =
+      let new_factor () =
+        let t0 = Unix.gettimeofday () in
+        let u = Lu.Ft.of_factor ftw (factor_repaired 0) in
+        lap tm l_factor t0;
+        u
+      in
+      let ft = ref (new_factor ()) in
+      (* [bwork <- rhs - N x_N]: the right-hand side of the basic point *)
+      let nonbasic_rhs () =
         Array.blit rhs_s 0 bwork 0 m;
         for j = 0 to ntot () - 1 do
           if where.(j) < 0 then begin
-            let v = nbval j in
-            if v <> 0.0 then
-              col_iter j (fun i a -> bwork.(i) <- bwork.(i) -. (a *. v))
+            let v = nb_value nb_at lo hi j in
+            if v <> 0.0 then col_sub cols j v bwork
           end
-        done;
-        Lu.Ft.ftran_d !ft ~keep_spike:false ~b:bwork ~x:x_basic ~scratch
+        done
+      in
+      let recompute_x_basic () =
+        let t0 = Unix.gettimeofday () in
+        nonbasic_rhs ();
+        Lu.Ft.ftran_d !ft ~keep_spike:false ~b:bwork ~x:x_basic ~scratch;
+        lap tm l_ftran t0
       in
       let refactorize () =
         if Lu.Ft.fill_hwm !ft > !fill_max then fill_max := Lu.Ft.fill_hwm !ft;
-        ft := Lu.Ft.of_factor ftw (factor_repaired 0);
+        ft := new_factor ();
         recompute_x_basic ()
       in
       (* Refactorization trigger, checked at every loop top. *)
@@ -345,9 +466,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          kernels (see above). *)
       let w = Array.make m 0.0 in
       let rho = Array.make m 0.0 in
-      (* Solve B w = sb (support [sb_ind.(0 .. nb-1)]); [sb] is left for
-         the caller to clear.  Keeps [w]'s support state and the kernel
-         counters. *)
+      (* Solve B w = sb (support [sb_ind.(0 .. nb-1)]) and clear [sb].
+         Keeps [w]'s support state and the kernel counters. *)
       let solve_into_w ~keep_spike nb =
         (match !w_n with
         | -1 -> Array.fill w 0 m 0.0
@@ -371,6 +491,9 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             Lu.Ft.ftran_sp !ft ~keep_spike ~nb ~bidx:sb_ind ~b:sb ~x:w
               ~xind:w_ind
         in
+        for s2 = 0 to nb - 1 do
+          sb.(sb_ind.(s2)) <- 0.0
+        done;
         if r < 0 then begin
           w_n := -1;
           incr c_ftran_dn;
@@ -391,38 +514,45 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
            magnitude ties resolve exactly as the dense 0..m-1 loops do. *)
         if !w_n >= 0 then Lu.sort_prefix w_ind !w_n
       in
-      (* FTRAN of column [j] into [w], keeping the spike for the
-         Forrest–Tomlin update of the pivot that follows. *)
-      let ftran j =
-        let t0 = clock () in
-        incr sb_epoch;
+      (* Add [scale * a_j] to the stamped sparse scratch [sb], whose
+         support count is [nb]. *)
+      let scatter j scale nb =
         let ep = !sb_epoch in
-        let nb = ref 0 in
         col_iter j (fun i v ->
             if sb_in.(i) <> ep then begin
               sb_in.(i) <- ep;
               sb_ind.(!nb) <- i;
               incr nb
             end;
-            sb.(i) <- sb.(i) +. v);
-        let nb0 = !nb in
-        solve_into_w ~keep_spike:true nb0;
-        for s2 = 0 to nb0 - 1 do
-          sb.(sb_ind.(s2)) <- 0.0
-        done;
-        t_ftran := !t_ftran +. clock () -. t0
+            sb.(i) <- sb.(i) +. (scale *. v))
       in
-      let btran (cb : float array) (y : float array) =
-        let t0 = clock () in
+      (* FTRAN of column [j] into [w], keeping the spike for the
+         Forrest–Tomlin update of the pivot that follows. *)
+      let ftran j =
+        let t0 = Unix.gettimeofday () in
+        incr sb_epoch;
+        let nb = ref 0 in
+        scatter j 1.0 nb;
+        solve_into_w ~keep_spike:true !nb;
+        lap tm l_ftran t0
+      in
+      let cost = Array.make cap 0.0 in
+      let cb = Array.make m 0.0 in
+      let y = Array.make m 0.0 in
+      (* The simplex multipliers: y = B^-T c_B. *)
+      let duals () =
+        let t0 = Unix.gettimeofday () in
+        for k = 0 to m - 1 do
+          cb.(k) <- cost.(basis.(k))
+        done;
         Lu.Ft.btran_d !ft ~c:cb ~y ~scratch;
         incr c_btran_dn;
-        t_btran := !t_btran +. clock () -. t0
+        lap tm l_btran t0
       in
-      let cb = Array.make m 0.0 in
       (* Unit-RHS BTRAN: rho = row r of B^-1, the dual simplex's
          pivot-row solve. *)
       let btran_unit r (rho : float array) =
-        let t0 = clock () in
+        let t0 = Unix.gettimeofday () in
         sb_ind.(0) <- r;
         sb.(r) <- 1.0;
         (match !rho_n with
@@ -460,12 +590,11 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           incr c_btran_sp;
           bt_fail := 0
         end;
-        t_btran := !t_btran +. clock () -. t0
+        lap tm l_btran t0
       in
       (* --- simplex iterations ------------------------------------------ *)
-      let cost = Array.make cap 0.0 in
-      let y = Array.make m 0.0 in
       let iters = ref 0 in
+      let phase1 = ref 0 in
       let dual_pivots = ref 0 in
       let bound_flips = ref 0 in
       let bland = ref false in
@@ -485,128 +614,37 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let stamp = Array.make cap (-1) in
       let touched = Array.make cap 0 in
       (* Dual ratio-test candidates and pending bound flips, kept in
-         preallocated parallel arrays: the test runs every dual pivot,
-         and list-of-tuple sorting was a measurable allocation cost. *)
+         preallocated parallel arrays: the test runs every dual pivot. *)
       let dc_ratio = Array.make cap 0.0 in
       let dc_alpha = Array.make cap 0.0 in
       let dc_j = Array.make cap 0 in
       let df_j = Array.make cap 0 in
       let df_delta = Array.make cap 0.0 in
-      (* In-place quicksort of the candidate triples by (ratio asc,
-         pivot magnitude desc, column asc) — the same total order the
-         list sort used, so the sorted sequence is identical.  All keys
-         are non-negative finite floats and columns are distinct, so
-         plain [<] agrees with [Float.compare]. *)
-      let dc_lt (r1 : float) (a1 : float) (j1 : int) r2 a2 j2 =
-        r1 < r2 || (r1 = r2 && (a1 > a2 || (a1 = a2 && j1 < j2)))
-      in
-      let dc_swap i j =
-        let tr = dc_ratio.(i) in
-        dc_ratio.(i) <- dc_ratio.(j);
-        dc_ratio.(j) <- tr;
-        let ta = dc_alpha.(i) in
-        dc_alpha.(i) <- dc_alpha.(j);
-        dc_alpha.(j) <- ta;
-        let tj = dc_j.(i) in
-        dc_j.(i) <- dc_j.(j);
-        dc_j.(j) <- tj
-      in
-      let rec dc_sort lo_ hi_ =
-        if hi_ - lo_ >= 12 then begin
-          let mid = (lo_ + hi_) / 2 in
-          let pr = dc_ratio.(mid) and pa = dc_alpha.(mid) and pj = dc_j.(mid) in
-          let i = ref lo_ and j = ref hi_ in
-          while !i <= !j do
-            while dc_lt dc_ratio.(!i) dc_alpha.(!i) dc_j.(!i) pr pa pj do
-              incr i
-            done;
-            while dc_lt pr pa pj dc_ratio.(!j) dc_alpha.(!j) dc_j.(!j) do
-              decr j
-            done;
-            if !i <= !j then begin
-              dc_swap !i !j;
-              incr i;
-              decr j
-            end
-          done;
-          dc_sort lo_ !j;
-          dc_sort !i hi_
-        end
-        else
-          for k = lo_ + 1 to hi_ do
-            let r = dc_ratio.(k) and a = dc_alpha.(k) and j = dc_j.(k) in
-            let t = ref k in
-            while
-              !t > lo_
-              && dc_lt r a j dc_ratio.(!t - 1) dc_alpha.(!t - 1) dc_j.(!t - 1)
-            do
-              dc_ratio.(!t) <- dc_ratio.(!t - 1);
-              dc_alpha.(!t) <- dc_alpha.(!t - 1);
-              dc_j.(!t) <- dc_j.(!t - 1);
-              decr t
-            done;
-            dc_ratio.(!t) <- r;
-            dc_alpha.(!t) <- a;
-            dc_j.(!t) <- j
-          done
-      in
-      (* Expensive per-pivot invariant check, enabled via LP_PARANOID. *)
-      let paranoid = Sys.getenv_opt "LP_PARANOID" <> None in
+      (* Test-only per-pivot invariant check ([~check:true]): recompute
+         the basic point from a local fresh factorization and compare.
+         The live [ft] state is never touched, so the check composes with
+         the Forrest–Tomlin workspace (whose single [wsp] cannot back two
+         factorizations at once). *)
       let check_invariants () =
-        if paranoid then begin
-          (* Recompute the basic point from a local fresh factorization
-             — the live [ft] state is never touched, so the check
-             composes with the Forrest–Tomlin workspace (whose single
-             [wsp] cannot back two factorizations at once). *)
+        if check then begin
           let saved = Array.copy x_basic in
           let f = factor_basis () in
-          Array.blit rhs_s 0 bwork 0 m;
-          for j = 0 to ntot () - 1 do
-            if where.(j) < 0 then begin
-              let v = nbval j in
-              if v <> 0.0 then
-                col_iter j (fun i a -> bwork.(i) <- bwork.(i) -. (a *. v))
-            end
-          done;
+          nonbasic_rhs ();
           Lu.solve f ~b:bwork ~x:x_basic ~scratch;
           let drift = ref 0.0 in
           for k = 0 to m - 1 do
             let d = Float.abs (x_basic.(k) -. saved.(k)) in
             if d > !drift then drift := d
           done;
-          if !drift > 1e-6 then begin
-            (* residual of the incrementally maintained point: b - A x *)
-            let res = Array.copy rhs_s in
-            let sub j xv =
-              if xv <> 0.0 then
-                col_iter j (fun i a -> res.(i) <- res.(i) -. (a *. xv))
-            in
-            for j = 0 to ntot () - 1 do
-              if where.(j) < 0 then sub j (nbval j)
-            done;
-            for k = 0 to m - 1 do
-              sub basis.(k) saved.(k)
-            done;
-            let rmax =
-              Array.fold_left (fun a v -> max a (Float.abs v)) 0.0 res
-            in
-            Printf.eprintf
-              "LP_PARANOID: iter %d drift %g incremental-residual %g \
-               replaced %d\n\
-               %!"
-              !iters !drift rmax
-              (List.length f.Lu.replaced);
-            (match Sys.getenv_opt "LP_DUMP_BASIS" with
-            | Some path when not (Sys.file_exists path) ->
-                Putil.Fileio.with_out path (fun oc ->
-                    Printf.fprintf oc "%d\n" m;
-                    for k = 0 to m - 1 do
-                      col_iter basis.(k) (fun i v ->
-                          Printf.fprintf oc "%d %d %.17g\n" i k v)
-                    done)
-            | _ -> ())
-          end;
-          Array.blit saved 0 x_basic 0 m
+          Array.blit saved 0 x_basic 0 m;
+          if !drift > 1e-6 then
+            raise
+              (Invariant_broken
+                 (Printf.sprintf
+                    "iteration %d: basic point drifts %g from a fresh \
+                     factorization (%d columns replaced)"
+                    !iters !drift
+                    (List.length f.Lu.replaced)))
         end
       in
       (* Record the just-executed pivot at position [r] in the working
@@ -616,15 +654,16 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          and the basis arrays already reflect the pivot, so
          refactorizing from the basis is the exact recovery. *)
       let pivot_update (w : float array) r =
-        if not (Lu.Ft.update !ft ~pos:r ~wr:w.(r)) then refactorize ()
-        else incr c_ft_updates
+        let t0 = Unix.gettimeofday () in
+        let ok = Lu.Ft.update !ft ~pos:r ~wr:w.(r) in
+        lap tm l_update t0;
+        if ok then incr c_ft_updates else refactorize ()
       in
       (* Ratio test plus bound-flip/pivot for entering column [je] moving
          in direction [s]. *)
       let enter_column je s =
-        let res = ref `Ok in
         ftran je;
-        let tratio0 = clock () in
+        let t0 = Unix.gettimeofday () in
         (* Two-pass Harris ratio test, scanned over [w]'s support (the
            dense pass skips zero entries through the same magnitude
            filter). *)
@@ -654,7 +693,10 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             end
           end
         done;
-        if !theta_max = inf && t_flip = inf then res := `Unbounded
+        if !theta_max = inf && t_flip = inf then begin
+          lap tm l_ratio t0;
+          `Unbounded
+        end
         else begin
           (* pass 2: among blocking candidates within theta_max pick the
              largest pivot magnitude *)
@@ -688,43 +730,48 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             end
           done;
           let t_leave = if !leave >= 0 then !lt else inf in
-          (if t_flip < t_leave then begin
-             (* bound flip: no basis change *)
-             for ti = 0 to sup_n - 1 do
-               let k = if !w_n < 0 then ti else w_ind.(ti) in
-               x_basic.(k) <- x_basic.(k) -. (s *. t_flip *. w.(k))
-             done;
-             nb_at.(je) <- (if nb_at.(je) = 'l' then 'u' else 'l');
-             if paranoid then
-               Printf.eprintf "LP_PARANOID: iter %d flip j=%d t=%g\n%!" !iters
-                 je t_flip;
-             check_invariants ();
-             if t_flip <= 1e-10 then incr degen else degen := 0
-           end
-           else if !leave < 0 then res := `Unbounded
-           else begin
-             let r = !leave in
-             let t = t_leave in
-             for ti = 0 to sup_n - 1 do
-               let k = if !w_n < 0 then ti else w_ind.(ti) in
-               x_basic.(k) <- x_basic.(k) -. (s *. t *. w.(k))
-             done;
-             let entering_val = nbval je +. (s *. t) in
-             let leaving = basis.(r) in
-             where.(leaving) <- -1;
-             nb_at.(leaving) <- (if s *. w.(r) > 0.0 then 'l' else 'u');
-             basis.(r) <- je;
-             where.(je) <- r;
-             x_basic.(r) <- entering_val;
-             pivot_update w r;
-             check_invariants ();
-             if t <= 1e-10 then incr degen else degen := 0
-           end);
+          let res =
+            if t_flip < t_leave then begin
+              (* bound flip: no basis change *)
+              for ti = 0 to sup_n - 1 do
+                let k = if !w_n < 0 then ti else w_ind.(ti) in
+                x_basic.(k) <- x_basic.(k) -. (s *. t_flip *. w.(k))
+              done;
+              nb_at.(je) <- (if nb_at.(je) = 'l' then 'u' else 'l');
+              lap tm l_ratio t0;
+              check_invariants ();
+              if t_flip <= 1e-10 then incr degen else degen := 0;
+              `Ok
+            end
+            else if !leave < 0 then begin
+              lap tm l_ratio t0;
+              `Unbounded
+            end
+            else begin
+              let r = !leave in
+              let t = t_leave in
+              for ti = 0 to sup_n - 1 do
+                let k = if !w_n < 0 then ti else w_ind.(ti) in
+                x_basic.(k) <- x_basic.(k) -. (s *. t *. w.(k))
+              done;
+              let entering_val = nb_value nb_at lo hi je +. (s *. t) in
+              let leaving = basis.(r) in
+              where.(leaving) <- -1;
+              nb_at.(leaving) <- (if s *. w.(r) > 0.0 then 'l' else 'u');
+              basis.(r) <- je;
+              where.(je) <- r;
+              x_basic.(r) <- entering_val;
+              lap tm l_ratio t0;
+              pivot_update w r;
+              check_invariants ();
+              if t <= 1e-10 then incr degen else degen := 0;
+              `Ok
+            end
+          in
           if !degen > 200 + m then bland := true
           else if !degen = 0 then bland := false;
-          t_ratio := !t_ratio +. clock () -. tratio0
-        end;
-        !res
+          res
+        end
       in
       let run_phase () =
         let outcome = ref `Run in
@@ -733,78 +780,48 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           else begin
             incr iters;
             if need_refactor () then refactorize ();
-            for k = 0 to m - 1 do
-              cb.(k) <- cost.(basis.(k))
-            done;
-            btran cb y;
-            (* pricing *)
-            let best_j = ref (-1)
-            and best_mag = ref 0.0
-            and best_dir = ref 1.0 in
-            let consider j d dir =
-              let mag = Float.abs d in
-              if !bland then begin
-                if !best_j < 0 then begin
-                  best_j := j;
-                  best_mag := mag;
-                  best_dir := dir
-                end
-              end
-              else if mag > !best_mag then begin
-                best_j := j;
-                best_mag := mag;
-                best_dir := dir
-              end
-            in
-            let tprice0 = clock () in
+            duals ();
+            (* Pricing, one loop for both rules: Dantzig's over a partial
+               window from a rotating cursor, stopping once a window's
+               worth of columns has been examined with a candidate in
+               hand; Bland's as a window of 0 from column 0, which stops
+               at the first candidate.  Optimality is still exact: the
+               phase only ends after a full wrap finds no candidate. *)
+            let t0 = Unix.gettimeofday () in
             let total = ntot () in
-            (* Partial pricing: scan from a rotating cursor and stop once a
-               window's worth of columns has been examined with at least
-               one candidate in hand.  Optimality is still exact: the phase
-               only ends after a full wrap finds no candidate.  Bland mode
-               scans deterministically from column 0. *)
-            let window = max 512 (total / 8) in
-            if !bland then begin
-              let j = ref 0 in
-              while !j < total && !best_j < 0 do
-                let jj = !j in
-                if where.(jj) < 0 && lo.(jj) < hi.(jj) then begin
-                  let d = cost.(jj) -. col_dot jj y in
-                  let tol = opt_tol *. (1.0 +. Float.abs cost.(jj)) in
-                  match nb_at.(jj) with
-                  | 'l' -> if d < -.tol then consider jj d 1.0
-                  | 'u' -> if d > tol then consider jj d (-1.0)
-                  | _ ->
-                      if d < -.tol then consider jj d 1.0
-                      else if d > tol then consider jj d (-1.0)
-                end;
-                incr j
-              done
-            end
-            else begin
-              let scanned = ref 0 in
-              while
-                !scanned < total && not (!best_j >= 0 && !scanned >= window)
-              do
-                let jj = (!price_cursor + !scanned) mod total in
-                if where.(jj) < 0 && lo.(jj) < hi.(jj) then begin
-                  let d = cost.(jj) -. col_dot jj y in
-                  let tol = opt_tol *. (1.0 +. Float.abs cost.(jj)) in
-                  match nb_at.(jj) with
-                  | 'l' -> if d < -.tol then consider jj d 1.0
-                  | 'u' -> if d > tol then consider jj d (-1.0)
-                  | _ ->
-                      if d < -.tol then consider jj d 1.0
-                      else if d > tol then consider jj d (-1.0)
-                end;
-                incr scanned
-              done;
-              if !best_j >= 0 then price_cursor := (!best_j + 1) mod total
-            end;
-            t_price := !t_price +. clock () -. tprice0;
+            let window = if !bland then 0 else max 512 (total / 8) in
+            let jj = ref (if !bland then 0 else !price_cursor) in
+            let scanned = ref 0 in
+            let best_j = ref (-1) and best_mag = ref 0.0 and best_dir = ref 0 in
+            while !scanned < total && not (!best_j >= 0 && !scanned >= window) do
+              let j = !jj in
+              if where.(j) < 0 && lo.(j) < hi.(j) then begin
+                let d = cost.(j) -. col_dot cols j y in
+                let mag = Float.abs d in
+                if mag > !best_mag then begin
+                  let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
+                  let dir =
+                    match nb_at.(j) with
+                    | 'l' -> if d < -.tol then 1 else 0
+                    | 'u' -> if d > tol then -1 else 0
+                    | _ -> if d < -.tol then 1 else if d > tol then -1 else 0
+                  in
+                  if dir <> 0 then begin
+                    best_j := j;
+                    best_mag := mag;
+                    best_dir := dir
+                  end
+                end
+              end;
+              incr scanned;
+              jj := if j + 1 = total then 0 else j + 1
+            done;
+            if !best_j >= 0 && not !bland then
+              price_cursor := if !best_j + 1 = total then 0 else !best_j + 1;
+            lap tm l_price t0;
             if !best_j < 0 then outcome := `Phase_done
             else begin
-              match enter_column !best_j !best_dir with
+              match enter_column !best_j (Float.of_int !best_dir) with
               | `Unbounded -> outcome := `Unbounded
               | `Ok -> ()
             end
@@ -835,21 +852,18 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
            from the duals at every refactorization to bound drift. *)
         let d = Array.make (nv + m) 0.0 in
         let recompute_d () =
-          for k = 0 to m - 1 do
-            cb.(k) <- cost.(basis.(k))
-          done;
-          btran cb y;
+          duals ();
+          let t0 = Unix.gettimeofday () in
           for j = 0 to nv + m - 1 do
-            d.(j) <- (if where.(j) >= 0 then 0.0 else cost.(j) -. col_dot j y)
-          done
+            d.(j) <- (if where.(j) >= 0 then 0.0 else cost.(j) -. col_dot cols j y)
+          done;
+          lap tm l_price t0
         in
         recompute_d ();
         while !outcome = `Run do
           if !iters >= max_iter then outcome := `Iter_limit
           else if !dual_pivots > dual_cap then begin
-            if stats_on then
-              Printf.eprintf "LP_STATS: dual cap hit (%d pivots, m=%d)\n%!"
-                !dual_pivots m;
+            Stats.note_diag Stats.Dual_cap_hit;
             outcome := `Numerical
           end
           else begin
@@ -860,6 +874,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               recompute_d ()
             end;
             (* leaving row: largest primal bound violation *)
+            let t0 = Unix.gettimeofday () in
             let lrow = ref (-1) and viol = ref feas_tol and below = ref true in
             for k = 0 to m - 1 do
               let b = basis.(k) in
@@ -874,6 +889,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 below := false
               end
             done;
+            lap tm l_price t0;
             if !lrow < 0 then outcome := `Optimal
             else begin
               let r = !lrow in
@@ -881,7 +897,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               let sigma = if !below then 1.0 else -1.0 in
               (* rho = row r of B^-1 *)
               btran_unit r rho;
-              let tprice0 = clock () in
+              let t0 = Unix.gettimeofday () in
               (* Entering candidates: nonbasic j whose move in its feasible
                  direction drives x_B(r) toward the violated bound, ranked
                  by dual ratio |d_j| / |alpha_j|.  Gather alpha row-wise:
@@ -934,149 +950,104 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                   end
                 end
               done;
-              t_price := !t_price +. clock () -. tprice0;
+              lap tm l_price t0;
               if !nc = 0 then
                 (* no column can relieve the violation: the bound system
                    is primal infeasible *)
                 outcome := `Primal_infeasible
               else begin
-                let nc = !nc in
-                let tratio0 = clock () in
-                (* smallest dual ratio first; larger pivot, then lower
-                   column index, breaks ties — a total order, so the
-                   pick does not depend on gather order *)
-                dc_sort 0 (nc - 1);
+                let t0 = Unix.gettimeofday () in
                 (* Bound-flip ratio test: a boxed candidate whose full
                    flip removes less than the remaining violation is
-                   flipped outright (no pivot); the walk stops at the
-                   first candidate that would overshoot (and never flips
-                   the last candidate).  The flips only change nonbasic
-                   values, so their combined effect on x_basic is applied
-                   with a single solve (B^-1 sum_j delta_j a_j) after the
-                   walk. *)
+                   flipped outright (no pivot).  The flips only change
+                   nonbasic values, so their combined effect on x_basic
+                   is applied with a single solve (B^-1 sum_j delta_j
+                   a_j) after the walk. *)
                 let remaining = ref !viol in
                 let nflip = ref 0 in
-                let tpos = ref 0 in
-                let walking = ref true in
-                while !walking && !tpos < nc - 1 do
-                  let j = dc_j.(!tpos) and a = dc_alpha.(!tpos) in
+                let flip j a =
                   let range = hi.(j) -. lo.(j) in
-                  if
-                    Float.is_finite range
-                    && nb_at.(j) <> 'f'
-                    && (a *. range) < !remaining -. feas_tol
-                  then begin
-                    let delta = if nb_at.(j) = 'l' then range else -.range in
-                    df_j.(!nflip) <- j;
-                    df_delta.(!nflip) <- delta;
-                    incr nflip;
-                    nb_at.(j) <- (if nb_at.(j) = 'l' then 'u' else 'l');
-                    incr bound_flips;
-                    remaining := !remaining -. (a *. range);
-                    incr tpos
-                  end
-                  else walking := false
-                done;
-                (* Harris-style second pass: the strict minimum ratio
-                   often rides a tiny |alpha|, and t = viol / alpha then
-                   throws the entering variable far past its opposite
-                   bound — the violation migrates instead of shrinking.
-                   Admit every candidate whose reduced cost would go
-                   infeasible by at most dtol at the head's ratio and
-                   enter the one with the largest pivot; the closing
-                   primal run repairs the bounded slack. *)
-                let je =
-                  let r_e = dc_ratio.(!tpos) in
-                  let dtol = 1e-7 in
-                  let best_a = ref dc_alpha.(!tpos)
-                  and best_j = ref dc_j.(!tpos) in
-                  for q = !tpos + 1 to nc - 1 do
-                    let a = dc_alpha.(q) in
-                    if a > !best_a && (dc_ratio.(q) *. a) -. (r_e *. a) <= dtol
-                    then begin
-                      best_a := a;
-                      best_j := dc_j.(q)
-                    end
-                  done;
-                  !best_j
+                  Float.is_finite range
+                  && nb_at.(j) <> 'f'
+                  && a *. range < !remaining -. feas_tol
+                  && begin
+                       df_j.(!nflip) <- j;
+                       df_delta.(!nflip) <-
+                         (if nb_at.(j) = 'l' then range else -.range);
+                       incr nflip;
+                       nb_at.(j) <- (if nb_at.(j) = 'l' then 'u' else 'l');
+                       incr bound_flips;
+                       remaining := !remaining -. (a *. range);
+                       true
+                     end
                 in
+                let je =
+                  dual_select ~ratio:dc_ratio ~alpha:dc_alpha ~col:dc_j !nc
+                    ~flip
+                in
+                lap tm l_ratio t0;
                 if !nflip > 0 then begin
                   (* The combined flip delta is sparse: build it on the
-                     stamped scratch (columns may share rows) and update
-                     x_basic over the solve's support.  Flips are applied
-                     newest-first, matching the prepend order the list
-                     implementation used, so the accumulation order (and
-                     its rounding) is unchanged. *)
+                     stamped scratch (columns may share rows), newest
+                     flip first, and update x_basic over the solve's
+                     support. *)
+                  let t0 = Unix.gettimeofday () in
                   incr sb_epoch;
-                  let ep = !sb_epoch in
                   let nb = ref 0 in
                   for f = !nflip - 1 downto 0 do
-                    let j = df_j.(f) and delta = df_delta.(f) in
-                    col_iter j (fun i v ->
-                        if sb_in.(i) <> ep then begin
-                          sb_in.(i) <- ep;
-                          sb_ind.(!nb) <- i;
-                          incr nb
-                        end;
-                        sb.(i) <- sb.(i) +. (delta *. v))
+                    scatter df_j.(f) df_delta.(f) nb
                   done;
-                  let nb0 = !nb in
-                  solve_into_w ~keep_spike:false nb0;
-                  for s2 = 0 to nb0 - 1 do
-                    sb.(sb_ind.(s2)) <- 0.0
-                  done;
+                  solve_into_w ~keep_spike:false !nb;
+                  let t1 = Unix.gettimeofday () in
+                  tm.(l_ftran) <- tm.(l_ftran) +. (t1 -. t0);
                   let sup_n = if !w_n < 0 then m else !w_n in
                   for ti = 0 to sup_n - 1 do
                     let k = if !w_n < 0 then ti else w_ind.(ti) in
                     x_basic.(k) <- x_basic.(k) -. w.(k)
-                  done
+                  done;
+                  lap tm l_ratio t1
                 end;
-                  ftran je;
-                  if Float.abs w.(r) < 1e-8 then begin
-                    (* numerically unusable pivot: rebuild the
-                       factorization once and retry the iteration *)
-                    incr bad_pivots;
-                    refactorize ();
-                    recompute_d ();
-                    if !bad_pivots > 3 then begin
-                      if stats_on then
-                        Printf.eprintf
-                          "LP_STATS: dual bad pivots (r=%d w_r=%g)\n%!" r
-                          w.(r);
-                      outcome := `Numerical
-                    end
-                  end
-                  else begin
-                    bad_pivots := 0;
-                    let b = basis.(r) in
-                    let bound = if !below then lo.(b) else hi.(b) in
-                    let t = (x_basic.(r) -. bound) /. w.(r) in
-                    let sup_n = if !w_n < 0 then m else !w_n in
-                    for ti = 0 to sup_n - 1 do
-                      let k = if !w_n < 0 then ti else w_ind.(ti) in
-                      x_basic.(k) <- x_basic.(k) -. (t *. w.(k))
-                    done;
-                    (* dual step: d_j -= theta * alpha_j, nonzero only on
-                       the gathered columns; the leaving column's alpha is
-                       exactly 1 (it is row r's basic), so its new
-                       reduced cost is -theta *)
-                    let theta = d.(je) /. w.(r) in
-                    for tk = 0 to !ntouched - 1 do
-                      let j = touched.(tk) in
-                      d.(j) <- d.(j) -. (theta *. alpha_acc.(j))
-                    done;
-                    d.(je) <- 0.0;
-                    d.(b) <- -.theta;
-                    let entering_val = nbval je +. t in
-                    where.(b) <- -1;
-                    nb_at.(b) <- (if !below then 'l' else 'u');
-                    basis.(r) <- je;
-                    where.(je) <- r;
-                    x_basic.(r) <- entering_val;
-                    pivot_update w r;
-                    check_invariants ()
-                  end;
-                  t_ratio := !t_ratio +. clock () -. tratio0
+                ftran je;
+                if Float.abs w.(r) < 1e-8 then begin
+                  (* numerically unusable pivot: rebuild the
+                     factorization once and retry the iteration *)
+                  incr bad_pivots;
+                  refactorize ();
+                  recompute_d ();
+                  if !bad_pivots > 3 then outcome := `Numerical
+                end
+                else begin
+                  let t0 = Unix.gettimeofday () in
+                  bad_pivots := 0;
+                  let b = basis.(r) in
+                  let bound = if !below then lo.(b) else hi.(b) in
+                  let t = (x_basic.(r) -. bound) /. w.(r) in
+                  let sup_n = if !w_n < 0 then m else !w_n in
+                  for ti = 0 to sup_n - 1 do
+                    let k = if !w_n < 0 then ti else w_ind.(ti) in
+                    x_basic.(k) <- x_basic.(k) -. (t *. w.(k))
+                  done;
+                  (* dual step: d_j -= theta * alpha_j, nonzero only on
+                     the gathered columns; the leaving column's alpha is
+                     exactly 1 (it is row r's basic), so its new
+                     reduced cost is -theta *)
+                  let theta = d.(je) /. w.(r) in
+                  for tk = 0 to !ntouched - 1 do
+                    let j = touched.(tk) in
+                    d.(j) <- d.(j) -. (theta *. alpha_acc.(j))
+                  done;
+                  d.(je) <- 0.0;
+                  d.(b) <- -.theta;
+                  let entering_val = nb_value nb_at lo hi je +. t in
+                  where.(b) <- -1;
+                  nb_at.(b) <- (if !below then 'l' else 'u');
+                  basis.(r) <- je;
+                  where.(je) <- r;
+                  x_basic.(r) <- entering_val;
+                  lap tm l_ratio t0;
+                  pivot_update w r;
+                  check_invariants ()
+                end
               end
             end
           end
@@ -1100,13 +1071,15 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 done;
                 for k = 0 to !nart - 1 do
                   let aj = nv + m + k in
-                  if where.(aj) < 0 then infeas := !infeas +. nbval aj
+                  if where.(aj) < 0 then
+                    infeas := !infeas +. nb_value nb_at lo hi aj
                 done;
                 if !infeas > 1e-6 then status := Infeasible
             | `Unbounded ->
                 failwith "Revised: phase 1 unbounded (internal error)"
             | `Iter_limit -> status := Iter_limit
             | `Run -> assert false);
+            phase1 := !iters;
             (* Fix artificials at zero for phase 2. *)
             for k = 0 to !nart - 1 do
               let aj = nv + m + k in
@@ -1132,36 +1105,28 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
              bound for its reduced-cost sign is flipped to the other bound;
              a non-boxed one with the wrong sign cannot be repaired without
              pivoting, so fall back to the cold path. *)
-          for k = 0 to m - 1 do
-            cb.(k) <- cost.(basis.(k))
-          done;
-          btran cb y;
+          duals ();
+          let t0 = Unix.gettimeofday () in
+          let irreparable () =
+            Stats.note_diag Stats.Repair_fallback;
+            raise Warm_fallback
+          in
           for j = 0 to nv + m - 1 do
             if where.(j) < 0 && lo.(j) < hi.(j) then begin
-              let d = cost.(j) -. col_dot j y in
+              let d = cost.(j) -. col_dot cols j y in
               let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
               match nb_at.(j) with
               | 'l' when d < -.tol ->
                   if Float.is_finite hi.(j) then nb_at.(j) <- 'u'
-                  else begin
-                    if stats_on then
-                      Printf.eprintf "LP_STATS: fallback repair j=%d at=l d=%g\n%!" j d;
-                    raise Warm_fallback
-                  end
+                  else irreparable ()
               | 'u' when d > tol ->
                   if Float.is_finite lo.(j) then nb_at.(j) <- 'l'
-                  else begin
-                    if stats_on then
-                      Printf.eprintf "LP_STATS: fallback repair j=%d at=u d=%g\n%!" j d;
-                    raise Warm_fallback
-                  end
-              | 'f' when Float.abs d > tol ->
-                  if stats_on then
-                    Printf.eprintf "LP_STATS: fallback repair j=%d at=f d=%g\n%!" j d;
-                  raise Warm_fallback
+                  else irreparable ()
+              | 'f' when Float.abs d > tol -> irreparable ()
               | _ -> ()
             end
           done;
+          lap tm l_price t0;
           recompute_x_basic ();
           let primal_viol () =
             let v = ref 0.0 in
@@ -1215,8 +1180,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             | `Primal_infeasible -> status := Infeasible
             | `Iter_limit -> status := Iter_limit
             | `Numerical ->
-                if stats_on then
-                  Printf.eprintf "LP_STATS: fallback dual numerical\n%!";
+                Stats.note_diag Stats.Dual_numerical;
                 raise Warm_fallback
             | `Run -> assert false
           end);
@@ -1235,24 +1199,16 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         refactorize ()
       end;
       if Lu.Ft.fill_hwm !ft > !fill_max then fill_max := Lu.Ft.fill_hwm !ft;
-      if stats_on then
-        Printf.eprintf
-          "LP_STATS: iters=%d factor=%.2fs (%d, avg nnz %d) ftran=%.2fs \
-           btran=%.2fs price=%.2fs ratio+update=%.2fs ft_updates=%d \
-           fill_max=%.2f\n\
-           %!"
-          !iters !t_factor !n_factor
-          (if !n_factor > 0 then !lu_nnz_total / !n_factor else 0)
-          !t_ftran !t_btran !t_price !t_ratio !c_ft_updates !fill_max;
       let x = Array.make nv 0.0 in
       for j = 0 to nv - 1 do
-        if where.(j) >= 0 then x.(j) <- x_basic.(where.(j)) else x.(j) <- nbval j
+        x.(j) <-
+          (if where.(j) >= 0 then x_basic.(where.(j)) else nb_value nb_at lo hi j)
       done;
-      for k = 0 to m - 1 do
-        cb.(k) <- cost.(basis.(k))
+      duals ();
+      let dj = Array.make nv 0.0 in
+      for j = 0 to nv - 1 do
+        dj.(j) <- p.obj.(j) -. col_dot cols j y
       done;
-      btran cb y;
-      let dj = Array.init nv (fun j -> p.obj.(j) -. col_dot j y) in
       let basis_out =
         (* A clean basis mentions only structural and slack columns.  An
            artificial still basic (necessarily at zero after a feasible
@@ -1280,12 +1236,15 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       in
       Stats.note_solve
         ~warm:(warm_opt <> None)
-        ~iterations:!iters ~dual:!dual_pivots ~flips:!bound_flips
-        ~factors:!n_factor
+        ~iterations:!iters ~phase1:!phase1 ~dual:!dual_pivots
+        ~flips:!bound_flips ~factors:!n_factor
         ~wall:(Unix.gettimeofday () -. t_solve0);
       Stats.note_kernels ~ftran_sp:!c_ftran_sp ~ftran_dn:!c_ftran_dn
         ~btran_sp:!c_btran_sp ~btran_dn:!c_btran_dn;
       Stats.note_ft ~updates:!c_ft_updates ~fill_max:!fill_max;
+      Stats.note_layers ~factor:tm.(l_factor) ~ftran:tm.(l_ftran)
+        ~btran:tm.(l_btran) ~price:tm.(l_price) ~ratio:tm.(l_ratio)
+        ~update:tm.(l_update);
       {
         status = !status;
         objective = Model.objective_value p x;
@@ -1299,20 +1258,18 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
     match warm with
     | None -> attempt None
     | Some wb -> (
-        try attempt (Some wb)
-        with
+        try attempt (Some wb) with
         | Warm_fallback ->
             Stats.note_fallback ();
             attempt None
-        | Failure msg ->
-            if Sys.getenv_opt "LP_STATS" <> None then
-              Printf.eprintf "LP_STATS: fallback failure %s\n%!" msg;
+        | Failure _ ->
+            Stats.note_diag Stats.Failure_fallback;
             Stats.note_fallback ();
             attempt None)
   end
 
 let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis ?bands
-    (p : Model.problem) : result =
+    ?check (p : Model.problem) : result =
   Putil.Obs.span ~cat:"lp"
     ~args:
       [
@@ -1323,4 +1280,4 @@ let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis ?bands
     "revised.solve"
     (fun () ->
       solve_impl ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis
-        ?bands p)
+        ?bands ?check p)

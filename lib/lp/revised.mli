@@ -19,12 +19,10 @@
     instead of the cold phase-1/2 path.  Any irreparable warm state falls
     back to a cold solve, so warm calls are never less robust.
 
-    Debugging aids: [LP_PARANOID] enables expensive per-pivot invariant
-    checks (each pivot verified against a fresh factorization);
-    [LP_DUMP_BASIS=<path>] dumps the first offending basis; [LP_STATS]
-    prints a per-solve phase-time breakdown to stderr.  Aggregate
-    counters (cold/warm solves, primal/dual pivots, kernel sparse/dense
-    splits, wall time) are accumulated in {!Stats}. *)
+    Counters (cold/warm solves, primal/dual pivots, kernel sparse/dense
+    splits, warm fallbacks by cause) and exclusive wall times per solver
+    layer (factorization, FTRAN, BTRAN, pricing, ratio test,
+    Forrest–Tomlin update) are accumulated in {!Stats}. *)
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 
@@ -71,6 +69,7 @@ val solve :
   ?warm:basis ->
   ?analysis:analysis ->
   ?bands:int array * int array ->
+  ?check:bool ->
   Model.problem ->
   result
 (** [solve p] minimizes [p].  [lb]/[ub]/[rhs] override the structural
@@ -87,4 +86,30 @@ val solve :
     slack and artificial columns inheriting their row's band.  Purely a
     fill-reducing hint: results are unaffected beyond roundoff-level
     pivot ordering.  [max_iter <= 0] selects a size-dependent
-    default. *)
+    default.  [check] (default [false], for tests) verifies after every
+    pivot that the incrementally updated basic point matches a solve
+    with a fresh factorization, raising {!Invariant_broken} otherwise;
+    it only observes, so the pivots and the result are unchanged. *)
+
+exception Invariant_broken of string
+(** A [~check:true] solve found the basic point drifting more than
+    1e-6 from a fresh factorization's. *)
+
+val dual_select :
+  ratio:float array ->
+  alpha:float array ->
+  col:int array ->
+  int ->
+  flip:(int -> float -> bool) ->
+  int
+(** The warm dual simplex's ratio-test choice among [n] entering
+    candidates, given as parallel arrays (dual ratio, |alpha|, column;
+    columns distinct, keys finite and non-negative).  Candidates are
+    taken in the order ratio ascending, |alpha| descending, column
+    ascending.  The bound-flip walk asks [flip j a] about each in turn,
+    never about the last one, and stops at the first refusal; [flip]
+    records the flip it accepts.  Among the candidates left, the Harris
+    pass admits those whose ratio is within 1e-7 / |alpha| of the
+    first's and returns the column with the largest |alpha|, ties going
+    to the earliest in the order.  The arrays are reordered in place (a
+    heap, so only the walked candidates are ever ordered). *)

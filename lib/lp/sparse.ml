@@ -141,11 +141,6 @@ module Csc = struct
       f t.rowind.(k) t.values.(k)
     done
 
-  let fold_col t j f acc =
-    let acc = ref acc in
-    iter_col t j (fun i v -> acc := f !acc i v);
-    !acc
-
   (** [dot_col t j y] computes the inner product of column [j] with the
       dense vector [y]. *)
   let dot_col t j (y : float array) =
@@ -154,20 +149,6 @@ module Csc = struct
       s := !s +. (t.values.(k) *. y.(t.rowind.(k)))
     done;
     !s
-
-  (** [dot_col2 t j y z] computes the inner products of column [j] with
-      two dense vectors in a single traversal of the column — the dual
-      simplex prices every nonbasic column against both the pivot row
-      [rho] and the duals [y], and one pass halves the index/value
-      traffic on that hot loop. *)
-  let dot_col2 t j (y : float array) (z : float array) =
-    let s = ref 0.0 and u = ref 0.0 in
-    for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      let i = t.rowind.(k) and v = t.values.(k) in
-      s := !s +. (v *. y.(i));
-      u := !u +. (v *. z.(i))
-    done;
-    (!s, !u)
 
   type rows = { rowptr : int array; colind : int array; rvalues : float array }
 

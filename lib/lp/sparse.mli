@@ -43,14 +43,8 @@ module Csc : sig
   (** [iter_col t j f] calls [f row value] for every stored entry of
       column [j], in increasing row order. *)
 
-  val fold_col : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
-
   val dot_col : t -> int -> float array -> float
   (** Inner product of a column with a dense vector. *)
-
-  val dot_col2 : t -> int -> float array -> float array -> float * float
-  (** [dot_col2 t j y z] is [(dot_col t j y, dot_col t j z)] in a single
-      traversal of the column (dual-simplex pricing hot path). *)
 
   type rows = { rowptr : int array; colind : int array; rvalues : float array }
 

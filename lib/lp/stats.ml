@@ -13,8 +13,14 @@ type snapshot = {
   warm_solves : int;  (** solves that ran from a caller-supplied basis *)
   warm_fallbacks : int;
       (** warm attempts abandoned for a cold phase-1/2 restart *)
+  repair_fallbacks : int;
+      (** ... because a wrong-signed reduced cost could not be repaired *)
+  dual_numerical : int;  (** ... because the dual loop gave up *)
+  failure_fallbacks : int;  (** ... because the attempt raised [Failure] *)
+  dual_cap_hits : int;  (** dual loops stopped at their pivot cap *)
   pivots : int;  (** total simplex iterations, primal + dual *)
   primal_pivots : int;
+  phase1_pivots : int;  (** primal pivots of cold solves' phase 1 *)
   dual_pivots : int;
   bound_flips : int;  (** dual-ratio-test flips (no basis change) *)
   factorizations : int;
@@ -42,12 +48,23 @@ type snapshot = {
       (** energy reclaimed by the slack passes, as a percentage of the
           energy of the schedules they ran on (process aggregate) *)
   wall_s : float;  (** summed wall time inside {!Revised.solve} *)
+  factor_s : float;  (** exclusive layer wall times inside [wall_s]: *)
+  ftran_s : float;
+  btran_s : float;
+  price_s : float;
+  ratio_s : float;
+  update_s : float;
 }
 
 let solves = Atomic.make 0
 let warm_solves = Atomic.make 0
 let warm_fallbacks = Atomic.make 0
+let repair_fallbacks = Atomic.make 0
+let dual_numerical = Atomic.make 0
+let failure_fallbacks = Atomic.make 0
+let dual_cap_hits = Atomic.make 0
 let pivots = Atomic.make 0
+let phase1_pivots = Atomic.make 0
 let dual_pivots = Atomic.make 0
 let bound_flips = Atomic.make 0
 let factorizations = Atomic.make 0
@@ -67,6 +84,9 @@ let presolve_cols_dropped = Atomic.make 0
 let obj_mode_switches = Atomic.make 0
 let reclaim_passes = Atomic.make 0
 let wall_ns = Atomic.make 0
+
+(* Layer wall times, in nanoseconds, in {!Revised}'s layer order. *)
+let layer_ns = Array.init 6 (fun _ -> Atomic.make 0)
 
 (* Float max over pool domains: CAS retry loop.  [compare_and_set]
    compares the boxed float physically, and the expected value is the
@@ -94,7 +114,12 @@ let reset () =
       solves;
       warm_solves;
       warm_fallbacks;
+      repair_fallbacks;
+      dual_numerical;
+      failure_fallbacks;
+      dual_cap_hits;
       pivots;
+      phase1_pivots;
       dual_pivots;
       bound_flips;
       factorizations;
@@ -115,25 +140,44 @@ let reset () =
       reclaim_passes;
       wall_ns;
     ];
+  Array.iter (fun c -> Atomic.set c 0) layer_ns;
   Atomic.set fill_ratio_max_a 0.0;
   Atomic.set reclaimed_j_a 0.0;
   Atomic.set reclaim_base_j_a 0.0
 
 let note_fallback () = ignore (Atomic.fetch_and_add warm_fallbacks 1)
 
+type diag = Dual_cap_hit | Dual_numerical | Repair_fallback | Failure_fallback
+
+let note_diag d =
+  Atomic.incr
+    (match d with
+    | Dual_cap_hit -> dual_cap_hits
+    | Dual_numerical -> dual_numerical
+    | Repair_fallback -> repair_fallbacks
+    | Failure_fallback -> failure_fallbacks)
+
 let note_edit ~warm ~fallback =
   ignore (Atomic.fetch_and_add edit_solves 1);
   if warm then ignore (Atomic.fetch_and_add edit_warm 1);
   if fallback then ignore (Atomic.fetch_and_add edit_fallbacks 1)
 
-let note_solve ~warm ~iterations ~dual ~flips ~factors ~wall =
+let ns s = int_of_float (s *. 1e9)
+
+let note_solve ~warm ~iterations ~phase1 ~dual ~flips ~factors ~wall =
   ignore (Atomic.fetch_and_add solves 1);
   if warm then ignore (Atomic.fetch_and_add warm_solves 1);
   ignore (Atomic.fetch_and_add pivots iterations);
+  ignore (Atomic.fetch_and_add phase1_pivots phase1);
   ignore (Atomic.fetch_and_add dual_pivots dual);
   ignore (Atomic.fetch_and_add bound_flips flips);
   ignore (Atomic.fetch_and_add factorizations factors);
-  ignore (Atomic.fetch_and_add wall_ns (int_of_float (wall *. 1e9)))
+  ignore (Atomic.fetch_and_add wall_ns (ns wall))
+
+let note_layers ~factor ~ftran ~btran ~price ~ratio ~update =
+  List.iteri
+    (fun i s -> ignore (Atomic.fetch_and_add layer_ns.(i) (ns s)))
+    [ factor; ftran; btran; price; ratio; update ]
 
 (* Kernel-level counters are accumulated locally per solve (the hot
    loops must not touch shared cache lines) and flushed here once. *)
@@ -153,7 +197,7 @@ let note_presolve ~rows_dropped ~cols_dropped ~wall =
   ignore (Atomic.fetch_and_add presolve_calls 1);
   ignore (Atomic.fetch_and_add presolve_rows_dropped rows_dropped);
   ignore (Atomic.fetch_and_add presolve_cols_dropped cols_dropped);
-  ignore (Atomic.fetch_and_add presolve_ns (int_of_float (wall *. 1e9)))
+  ignore (Atomic.fetch_and_add presolve_ns (ns wall))
 
 let note_mode_switch () = ignore (Atomic.fetch_and_add obj_mode_switches 1)
 
@@ -161,6 +205,8 @@ let note_reclaim ~base_j ~reclaimed_j =
   ignore (Atomic.fetch_and_add reclaim_passes 1);
   atomic_add_float reclaim_base_j_a base_j;
   atomic_add_float reclaimed_j_a reclaimed_j
+
+let seconds c = Float.of_int (Atomic.get c) *. 1e-9
 
 let snapshot () =
   let solves = Atomic.get solves
@@ -172,8 +218,13 @@ let snapshot () =
     cold_solves = solves - warm_solves;
     warm_solves;
     warm_fallbacks = Atomic.get warm_fallbacks;
+    repair_fallbacks = Atomic.get repair_fallbacks;
+    dual_numerical = Atomic.get dual_numerical;
+    failure_fallbacks = Atomic.get failure_fallbacks;
+    dual_cap_hits = Atomic.get dual_cap_hits;
     pivots;
     primal_pivots = pivots - dual_pivots;
+    phase1_pivots = Atomic.get phase1_pivots;
     dual_pivots;
     bound_flips = Atomic.get bound_flips;
     factorizations = Atomic.get factorizations;
@@ -189,7 +240,7 @@ let snapshot () =
     fill_ratio_max = Atomic.get fill_ratio_max_a;
     scale_passes = Atomic.get scale_passes;
     presolve_calls = Atomic.get presolve_calls;
-    presolve_s = Float.of_int (Atomic.get presolve_ns) *. 1e-9;
+    presolve_s = seconds presolve_ns;
     presolve_rows_dropped = Atomic.get presolve_rows_dropped;
     presolve_cols_dropped = Atomic.get presolve_cols_dropped;
     obj_mode_switches = Atomic.get obj_mode_switches;
@@ -197,7 +248,13 @@ let snapshot () =
     reclaimed_joules_pct =
       (let base = Atomic.get reclaim_base_j_a in
        if base > 0.0 then 100.0 *. Atomic.get reclaimed_j_a /. base else 0.0);
-    wall_s = Float.of_int (Atomic.get wall_ns) *. 1e-9;
+    wall_s = seconds wall_ns;
+    factor_s = seconds layer_ns.(0);
+    ftran_s = seconds layer_ns.(1);
+    btran_s = seconds layer_ns.(2);
+    price_s = seconds layer_ns.(3);
+    ratio_s = seconds layer_ns.(4);
+    update_s = seconds layer_ns.(5);
   }
 
 (* Stats provider: the same counters, machine-readable, for the unified
@@ -211,8 +268,13 @@ let () =
           ("cold_solves", Putil.Obs.Int s.cold_solves);
           ("warm_solves", Putil.Obs.Int s.warm_solves);
           ("warm_fallbacks", Putil.Obs.Int s.warm_fallbacks);
+          ("repair_fallbacks", Putil.Obs.Int s.repair_fallbacks);
+          ("dual_numerical", Putil.Obs.Int s.dual_numerical);
+          ("failure_fallbacks", Putil.Obs.Int s.failure_fallbacks);
+          ("dual_cap_hits", Putil.Obs.Int s.dual_cap_hits);
           ("pivots", Putil.Obs.Int s.pivots);
           ("primal_pivots", Putil.Obs.Int s.primal_pivots);
+          ("phase1_pivots", Putil.Obs.Int s.phase1_pivots);
           ("dual_pivots", Putil.Obs.Int s.dual_pivots);
           ("bound_flips", Putil.Obs.Int s.bound_flips);
           ("factorizations", Putil.Obs.Int s.factorizations);
@@ -235,14 +297,22 @@ let () =
           ("reclaim_passes", Putil.Obs.Int s.reclaim_passes);
           ("reclaimed_joules_pct", Putil.Obs.Float s.reclaimed_joules_pct);
           ("wall_s", Putil.Obs.Float s.wall_s);
+          ("factor_s", Putil.Obs.Float s.factor_s);
+          ("ftran_s", Putil.Obs.Float s.ftran_s);
+          ("btran_s", Putil.Obs.Float s.btran_s);
+          ("price_s", Putil.Obs.Float s.price_s);
+          ("ratio_s", Putil.Obs.Float s.ratio_s);
+          ("update_s", Putil.Obs.Float s.update_s);
         ])
 
 let pp ppf (s : snapshot) =
   Fmt.pf ppf
     "%d solves (%d cold, %d warm, %d fallbacks), %d pivots (%d primal, %d \
-     dual, %d flips), %d factorizations, %.3f s; %d presolves (%d rows, %d \
-     cols dropped), %.3f s"
+     in phase 1, %d dual, %d flips), %d factorizations, %.3f s (factor \
+     %.3f, ftran %.3f, btran %.3f, price %.3f, ratio %.3f, update %.3f); %d \
+     presolves (%d rows, %d cols dropped), %.3f s"
     s.solves s.cold_solves s.warm_solves s.warm_fallbacks s.pivots
-    s.primal_pivots s.dual_pivots s.bound_flips s.factorizations s.wall_s
-    s.presolve_calls s.presolve_rows_dropped s.presolve_cols_dropped
-    s.presolve_s
+    s.primal_pivots s.phase1_pivots s.dual_pivots s.bound_flips
+    s.factorizations s.wall_s s.factor_s s.ftran_s s.btran_s s.price_s
+    s.ratio_s s.update_s s.presolve_calls s.presolve_rows_dropped
+    s.presolve_cols_dropped s.presolve_s

@@ -1,9 +1,10 @@
 (** Process-wide solver counters (atomic, shared across pool domains).
 
     {!Revised.solve} reports every solve: cold vs warm start, the
-    primal/dual pivot split, bound flips, basis factorizations and wall
-    time; {!Presolve.reduce} reports every reduction, with its own wall
-    time outside the solve's.  Reset before the region you want to
+    primal/dual pivot split, bound flips, basis factorizations, wall
+    time and its exclusive split over the solver layers, and why warm
+    attempts fell back; {!Presolve.reduce} reports every reduction, with
+    its own wall time outside the solve's.  Reset before the region you want to
     measure, snapshot after;
     [warmbench] and the benchmark harness are the main consumers. *)
 
@@ -12,9 +13,24 @@ type snapshot = {
   cold_solves : int;
   warm_solves : int;  (** solves that ran from a caller-supplied basis *)
   warm_fallbacks : int;
-      (** warm attempts abandoned for a cold phase-1/2 restart *)
+      (** warm attempts abandoned for a cold phase-1/2 restart; the next
+          three fields count them by cause, and a wrong-shaped basis
+          makes up the rest *)
+  repair_fallbacks : int;
+      (** a nonbasic column's reduced cost had the wrong sign and the
+          column had no opposite bound to flip to *)
+  dual_numerical : int;
+      (** the dual loop gave up: its pivot cap, or four unusable pivots
+          in a row *)
+  failure_fallbacks : int;
+      (** the attempt raised [Failure] (a singular basis beyond repair) *)
+  dual_cap_hits : int;
+      (** dual loops stopped at their [m + 2000] pivot cap (each also
+          counts in [dual_numerical]) *)
   pivots : int;  (** total simplex iterations, primal + dual *)
   primal_pivots : int;
+  phase1_pivots : int;
+      (** primal pivots spent in phase 1 (cold solves with artificials) *)
   dual_pivots : int;
   bound_flips : int;  (** dual-ratio-test flips (no basis change) *)
   factorizations : int;
@@ -53,6 +69,20 @@ type snapshot = {
       (** energy the slack passes reclaimed, as a percentage of the
           energy of the schedules they ran on (process aggregate) *)
   wall_s : float;  (** summed wall time inside {!Revised.solve} *)
+  factor_s : float;
+      (** wall time in LU factorization, singular-basis repair and the
+          Forrest–Tomlin rebuild.  This and the next five are exclusive
+          slices of [wall_s]; set-up and extraction are the rest *)
+  ftran_s : float;
+      (** FTRANs: entering columns, bound-flip deltas and the basic
+          point's recomputation *)
+  btran_s : float;  (** BTRANs: the simplex multipliers and pivot rows *)
+  price_s : float;
+      (** primal pricing; the dual's leaving-row choice, pivot-row
+          gather and reduced-cost rebuilds; the warm repair *)
+  ratio_s : float;
+      (** ratio tests, bound-flip walks and the primal/dual steps *)
+  update_s : float;  (** Forrest–Tomlin updates *)
 }
 
 val reset : unit -> unit
@@ -68,14 +98,31 @@ val note_edit : warm:bool -> fallback:bool -> unit
     and seeded the solve, [fallback] when a warm start was requested but
     the mapping was abandoned for a cold solve. *)
 
+type diag = Dual_cap_hit | Dual_numerical | Repair_fallback | Failure_fallback
+
+val note_diag : diag -> unit
+(** Count one warm-attempt event (see the snapshot fields). *)
+
 val note_solve :
   warm:bool ->
   iterations:int ->
+  phase1:int ->
   dual:int ->
   flips:int ->
   factors:int ->
   wall:float ->
   unit
+
+val note_layers :
+  factor:float ->
+  ftran:float ->
+  btran:float ->
+  price:float ->
+  ratio:float ->
+  update:float ->
+  unit
+(** Flush one solve's exclusive layer wall times (seconds), summed
+    locally over its pivots. *)
 
 val note_kernels :
   ftran_sp:int -> ftran_dn:int -> btran_sp:int -> btran_dn:int -> unit

@@ -1188,6 +1188,164 @@ let prop_warm_resolve =
       | _ -> true)
 
 
+(* --- the dual ratio test's selection -------------------------------- *)
+
+(* The oracle: the selection as it was before the heap, a full in-place
+   quicksort of the candidates by (ratio asc, |alpha| desc, column asc),
+   a bound-flip walk from the head that never takes the last candidate,
+   and a Harris pass over the rest in sorted order. *)
+let sorted_select ratio alpha col nc ~flip =
+  let dc_lt (r1 : float) (a1 : float) (j1 : int) r2 a2 j2 =
+    r1 < r2 || (r1 = r2 && (a1 > a2 || (a1 = a2 && j1 < j2)))
+  in
+  let dc_swap i j =
+    let tr = ratio.(i) in
+    ratio.(i) <- ratio.(j);
+    ratio.(j) <- tr;
+    let ta = alpha.(i) in
+    alpha.(i) <- alpha.(j);
+    alpha.(j) <- ta;
+    let tj = col.(i) in
+    col.(i) <- col.(j);
+    col.(j) <- tj
+  in
+  let rec dc_sort lo_ hi_ =
+    if hi_ - lo_ >= 12 then begin
+      let mid = (lo_ + hi_) / 2 in
+      let pr = ratio.(mid) and pa = alpha.(mid) and pj = col.(mid) in
+      let i = ref lo_ and j = ref hi_ in
+      while !i <= !j do
+        while dc_lt ratio.(!i) alpha.(!i) col.(!i) pr pa pj do
+          incr i
+        done;
+        while dc_lt pr pa pj ratio.(!j) alpha.(!j) col.(!j) do
+          decr j
+        done;
+        if !i <= !j then begin
+          dc_swap !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      dc_sort lo_ !j;
+      dc_sort !i hi_
+    end
+    else
+      for k = lo_ + 1 to hi_ do
+        let r = ratio.(k) and a = alpha.(k) and j = col.(k) in
+        let t = ref k in
+        while !t > lo_ && dc_lt r a j ratio.(!t - 1) alpha.(!t - 1) col.(!t - 1)
+        do
+          ratio.(!t) <- ratio.(!t - 1);
+          alpha.(!t) <- alpha.(!t - 1);
+          col.(!t) <- col.(!t - 1);
+          decr t
+        done;
+        ratio.(!t) <- r;
+        alpha.(!t) <- a;
+        col.(!t) <- j
+      done
+  in
+  dc_sort 0 (nc - 1);
+  let tpos = ref 0 in
+  while !tpos < nc - 1 && flip col.(!tpos) alpha.(!tpos) do
+    incr tpos
+  done;
+  let r_e = ratio.(!tpos) in
+  let best_a = ref alpha.(!tpos) and best_j = ref col.(!tpos) in
+  for q = !tpos + 1 to nc - 1 do
+    let a = alpha.(q) in
+    if a > !best_a && (ratio.(q) *. a) -. (r_e *. a) <= 1e-7 then begin
+      best_a := a;
+      best_j := col.(q)
+    end
+  done;
+  !best_j
+
+type cand_kind = Boxed of float | One_sided | Free
+
+(* A candidate set with many exact ties in ratio and in |alpha| (and
+   near-ties inside the Harris tolerance), distinct columns of mixed
+   kinds, and a violation that lets the walk flip none, some, or all
+   but one of the candidates. *)
+let gen_candidates =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 in
+  let* all_boxed = frequency [ (2, return false); (1, return true) ] in
+  let* ratio =
+    array_repeat n
+      (oneofl [ 0.0; 1e-9; 0.5; 0.5 +. 1e-8; 0.5 +. 1e-6; 1.0; 2.0; 3.75 ])
+  in
+  let* alpha = array_repeat n (oneofl [ 1e-3; 0.25; 0.5; 1.0; 1.0 +. 1e-9; 4.0 ]) in
+  let cols = Array.init (3 * n) Fun.id in
+  let* () = shuffle_a cols in
+  let* kinds =
+    array_repeat n
+      (if all_boxed then map (fun r -> Boxed r) (oneofl [ 0.1; 1.0; 2.5 ])
+       else
+         frequency
+           [
+             (3, map (fun r -> Boxed r) (oneofl [ 0.1; 1.0; 2.5 ]));
+             (1, return One_sided);
+             (1, return Free);
+           ])
+  in
+  let* viol =
+    if all_boxed then return 1e9
+    else oneofl [ 1e-9; 0.05; 0.3; 1.0; 4.0; 20.0 ]
+  in
+  return (ratio, alpha, Array.sub cols 0 n, kinds, viol)
+
+let print_candidates (ratio, alpha, cols, kinds, viol) =
+  let kind = function
+    | Boxed r -> Printf.sprintf "boxed %g" r
+    | One_sided -> "one-sided"
+    | Free -> "free"
+  in
+  Printf.sprintf "viol %g: %s" viol
+    (String.concat "; "
+       (List.init (Array.length cols) (fun i ->
+            Printf.sprintf "col %d ratio %h alpha %h %s" cols.(i) ratio.(i)
+              alpha.(i) (kind kinds.(i)))))
+
+let prop_dual_select_oracle =
+  QCheck.Test.make ~count:2000
+    ~name:"heap ratio-test selection matches sort-then-walk"
+    (QCheck.make ~print:print_candidates gen_candidates)
+    (fun (ratio, alpha, cols, kinds, viol) ->
+      let n = Array.length cols in
+      let kind_of = Hashtbl.create n in
+      Array.iteri (fun i j -> Hashtbl.replace kind_of j kinds.(i)) cols;
+      (* the revised simplex's flip rule, recording what it takes *)
+      let run select =
+        let remaining = ref viol and flips = ref [] in
+        let flip j a =
+          match Hashtbl.find kind_of j with
+          | Boxed range when a *. range < !remaining -. 1e-7 ->
+              remaining := !remaining -. (a *. range);
+              flips := j :: !flips;
+              true
+          | _ -> false
+        in
+        let je =
+          select (Array.copy ratio) (Array.copy alpha) (Array.copy cols) n ~flip
+        in
+        (List.rev !flips, je)
+      in
+      let flips_o, je_o = run sorted_select in
+      let flips_h, je_h =
+        run (fun ratio alpha col n ~flip ->
+            Lp.Revised.dual_select ~ratio ~alpha ~col n ~flip)
+      in
+      if flips_o <> flips_h || je_o <> je_h then
+        QCheck.Test.fail_reportf
+          "oracle flips [%s] enters %d; heap flips [%s] enters %d"
+          (String.concat "; " (List.map string_of_int flips_o))
+          je_o
+          (String.concat "; " (List.map string_of_int flips_h))
+          je_h
+      else true)
+
 (* Larger random LPs: exercises refactorization, partial pricing and
    bound flips harder than the small differential test. *)
 let random_model_large rng =
@@ -1990,6 +2148,7 @@ let suite =
       [
         Alcotest.test_case "rhs re-solve" `Quick test_warm_rhs_resolve;
         QCheck_alcotest.to_alcotest prop_warm_resolve;
+        QCheck_alcotest.to_alcotest prop_dual_select_oracle;
       ] );
     ( "lp.edit",
       [

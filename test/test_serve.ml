@@ -423,6 +423,20 @@ let test_daemon_refuses_malformed_under_client_id () =
                   Alcotest.(check bool) "stats counts the errors" true
                     (match List.assoc_opt "errors" kvs with
                     | Some (Putil.Obs.Int n) -> n >= 2
+                    | _ -> false);
+                  Alcotest.(check bool) "stats carry the solver layer timers"
+                    true
+                    (match List.assoc_opt "providers" kvs with
+                    | Some (Putil.Obs.Assoc ps) -> (
+                        match List.assoc_opt "lp" ps with
+                        | Some (Putil.Obs.Assoc lp) ->
+                            List.for_all
+                              (fun k -> List.mem_assoc k lp)
+                              [
+                                "factor_s"; "ftran_s"; "btran_s"; "price_s";
+                                "ratio_s"; "update_s"; "phase1_pivots";
+                              ]
+                        | _ -> false)
                     | _ -> false)
               | _ -> Alcotest.fail "stats payload is not an object")))
 
