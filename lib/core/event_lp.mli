@@ -143,8 +143,11 @@ val switch_objective :
 (** Re-target a prepared handle at the other objective without
     rebuilding: the objective swap compiles to {!Lp.Edit.Set_obj} edits
     and the deadline row is added/removed structurally, so a basis from
-    the previous mode's optimum warm-starts the new mode's solve through
-    {!Lp.Edit.resolve}'s basis mapping.  Returns the outcome, a new
+    the previous mode's optimum is offered to the new mode's solve
+    through {!Lp.Edit.resolve}'s basis mapping.  Should it not
+    dual-repair, the solve falls back to cold; from a makespan optimum
+    to the energy objective it has done so on every instance probed.
+    Returns the outcome, a new
     prepared handle for the target mode (chainable — further deadlines
     via {!solve_prepared_deadline}, caps via {!solve_prepared}), and the
     final basis.  As with {!edit_prepared}, a warm basis is only usable

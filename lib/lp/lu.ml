@@ -99,6 +99,39 @@ let sort_prefix (a : int array) n =
   in
   if n > 1 then qsort 0 (n - 1)
 
+(* Stable counting sort of the indices [src] by [key.(j)] into [dst]:
+   equal keys keep their order in [src].  Linear in the length plus the
+   key range, which for column counts and staircase bands is at most the
+   matrix order or the band count. *)
+let counting_sort (key : int array) (src : int array) (dst : int array) =
+  let n = Array.length src in
+  if n > 0 then begin
+    let lo = ref max_int and hi = ref min_int in
+    for s = 0 to n - 1 do
+      let k = key.(src.(s)) in
+      if k < !lo then lo := k;
+      if k > !hi then hi := k
+    done;
+    let lo = !lo in
+    let start = Array.make (!hi - lo + 1) 0 in
+    for s = 0 to n - 1 do
+      let b = key.(src.(s)) - lo in
+      start.(b) <- start.(b) + 1
+    done;
+    let acc = ref 0 in
+    for b = 0 to Array.length start - 1 do
+      let c = start.(b) in
+      start.(b) <- !acc;
+      acc := !acc + c
+    done;
+    for s = 0 to n - 1 do
+      let j = src.(s) in
+      let b = key.(j) - lo in
+      dst.(start.(b)) <- j;
+      start.(b) <- start.(b) + 1
+    done
+  end
+
 (** [factor ~m col_iter] factorizes the [m]×[m] matrix whose [k]-th column
     is enumerated by [col_iter k f] (calling [f row value] for each
     entry).
@@ -123,26 +156,16 @@ let factor ?bands ~m col_iter0 =
         end)
   done;
   (* factor sparsest columns first: a cheap fill-reducing ordering;
-     with bands, band-major first so the staircase structure dominates *)
-  let cperm = Array.init m Fun.id in
+     with bands, band-major first so the staircase structure dominates.
+     The order is (band, count, column), built least-significant key
+     first by stable counting sorts from the identity. *)
+  let cperm = Array.make m 0 in
   (match bands with
-  | None ->
-      Array.sort
-        (fun a b ->
-          match Int.compare colcount.(a) colcount.(b) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        cperm
+  | None -> counting_sort colcount (Array.init m Fun.id) cperm
   | Some (bd : int array) ->
-      Array.sort
-        (fun a b ->
-          match Int.compare bd.(a) bd.(b) with
-          | 0 -> (
-              match Int.compare colcount.(a) colcount.(b) with
-              | 0 -> Int.compare a b
-              | c -> c)
-          | c -> c)
-        cperm);
+      let by_count = Array.make m 0 in
+      counting_sort colcount (Array.init m Fun.id) by_count;
+      counting_sort bd by_count cperm);
   let col_iter k f = col_iter0 cperm.(k) f in
   let lrows = Array.make m [||] and lvals = Array.make m [||] in
   let urows = Array.make m [||] and uvals = Array.make m [||] in

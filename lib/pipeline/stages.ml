@@ -99,6 +99,37 @@ let prepare ?(reduce_slack = true) ?(presolve = true) ?objective sc ~power_cap
           Core.Event_lp.prepare ~reduce_slack ~presolve ?objective sc
             ~power_cap))
 
+type base = {
+  scenario : Core.Scenario.t;
+  prepared : Core.Event_lp.prepared;
+  outcome : Core.Event_lp.outcome;
+  basis : Lp.Revised.basis option;
+}
+
+(* Keyed from the source, not the scenario's content digest, so a hit
+   builds no scenario: the scenario is a function of the source and the
+   default fleet parameters, which [scenario_key] already names. *)
+let base_key src ~power_cap =
+  let h = Putil.Hashing.create () in
+  Putil.Hashing.string h (Key.to_string (scenario_key src));
+  Putil.Hashing.float h power_cap;
+  Key.v ~stage:"base" h
+
+(* Memory-only, like the scenarios and handles it holds. *)
+let base_cache : base Putil.Cache.t =
+  Putil.Cache.create ~capacity:16 ~name:"base" ()
+
+let base src ~power_cap =
+  let key = Key.to_string (base_key src ~power_cap) in
+  Putil.Cache.find_or_build base_cache key (fun () ->
+      let scenario = scenario src in
+      let prepared = prepare ~presolve:false scenario ~power_cap in
+      build_span ~stage:"stage:base" ~key (fun () ->
+          let outcome, basis =
+            Core.Event_lp.solve_prepared prepared ~power_cap
+          in
+          { scenario; prepared; outcome; basis }))
+
 (* What-if edits re-key through the edited scenario: Scenario.digest
    hashes the frontiers themselves, so any domain edit perturbs the
    digest and a stale prepared model can never be served, while the

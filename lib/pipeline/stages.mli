@@ -87,6 +87,34 @@ val prepare :
     Prepared models are read-only during re-solves, so sharing one
     across domains is safe. *)
 
+type base = {
+  scenario : Core.Scenario.t;  (** {!scenario} of the source *)
+  prepared : Core.Event_lp.prepared;
+      (** {!prepare}[ ~presolve:false] at the base cap *)
+  outcome : Core.Event_lp.outcome;
+      (** the cold {!Core.Event_lp.solve_prepared} at that cap *)
+  basis : Lp.Revised.basis option;  (** the basis that solve returned *)
+}
+(** A solved what-if base: the unedited world at one cap, ready to warm
+    {!Core.Event_lp.edit_prepared}.  The handle keeps the full column
+    space so the basis lives in the space edits are compiled to.  Shared
+    between callers and read-only: the solver only reads a warm basis,
+    and {!Lp.Edit} copies any basis array it changes. *)
+
+val base_key : source -> power_cap:float -> Key.t
+(** Key of the base-solve stage: {!scenario_key} (default fleet) plus the
+    cap.  A hit therefore needs neither a scenario build nor a content
+    digest. *)
+
+val base : source -> power_cap:float -> base
+(** Base-solve stage: {!scenario}, {!prepare}[ ~presolve:false] and one
+    cold {!Core.Event_lp.solve_prepared} at [power_cap], cached under
+    {!base_key} in memory only (16 entries, single-flight, counted as
+    cache ["base"]).  A process solves each base once, and every later
+    what-if on it runs only its warm edit.  The outcome and basis equal
+    a fresh solve's, so results are byte-identical with the cache on or
+    off. *)
+
 val edit_key :
   ?reduce_slack:bool ->
   ?presolve:bool ->

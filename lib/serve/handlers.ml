@@ -136,23 +136,33 @@ let what_if ~app ~ranks ~iters ~seed ~cap ~edits () =
   let params =
     { Workloads.Apps.nranks = ranks; iterations = iters; seed; scale = 1.0 }
   in
-  let sc = Pipeline.Stages.scenario (Pipeline.Stages.Synthetic (app, params)) in
   let job_cap = cap *. Float.of_int ranks in
-  match (edits, Core.Event_lp.check_edits sc edits) with
-  | [], _ ->
-      Fmt.pf err
-        "what-if: no edits given (use --fail-socket, --drop-rank and/or \
-         --perturb-task)@.";
-      2
-  | _, Error msg ->
+  (* The unedited base depends only on (scenario, cap): the base stage
+     solves it once per process, so a later what-if on it pays only for
+     its warm edit.  Edits are checked against the base's scenario, so an
+     invalid list on an unseen base still pays that base's solve. *)
+  let checked =
+    match edits with
+    | [] ->
+        Error
+          "no edits given (use --fail-socket, --drop-rank and/or \
+           --perturb-task)"
+    | _ ->
+        let b =
+          Pipeline.Stages.base
+            (Pipeline.Stages.Synthetic (app, params))
+            ~power_cap:job_cap
+        in
+        Result.map
+          (fun () -> b)
+          (Core.Event_lp.check_edits b.Pipeline.Stages.scenario edits)
+  in
+  match checked with
+  | Error msg ->
       Fmt.pf err "what-if: %s@." msg;
       2
-  | _, Ok () ->
-      (* The prepared handle must keep the full column space
-         (~presolve:false) so the base optimal basis can warm the edited
-         solve. *)
-      let pz = Pipeline.Stages.prepare ~presolve:false sc ~power_cap:job_cap in
-      let base, basis = Core.Event_lp.solve_prepared pz ~power_cap:job_cap in
+  | Ok { Pipeline.Stages.scenario = sc; prepared = pz; outcome = base; basis }
+    ->
       (match base with
       | Core.Event_lp.Schedule s ->
           Fmt.pf out "baseline : %.4f s at %.0f W (%.0f W x %d sockets)@."

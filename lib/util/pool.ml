@@ -1,4 +1,4 @@
-(** Fixed-size domain pool with per-worker work-stealing deques.  See
+(** Bounded domain pool with per-worker work-stealing deques.  See
     pool.mli for the design contract.  Synchronization is deliberately
     coarse (a mutex per deque, a mutex+condition for the idle set): the
     tasks this pool runs are whole LP solves and simulations, so queue
@@ -69,11 +69,12 @@ end
 
 (* Process-wide counters across every pool, feeding the Obs stats
    registry (and the [--stats-json] dump). *)
-type totals = { submitted : int; run : int; stolen : int }
+type totals = { submitted : int; run : int; stolen : int; spawned : int }
 
 let n_submitted = Atomic.make 0
 let n_run = Atomic.make 0
 let n_stolen = Atomic.make 0
+let n_spawned = Atomic.make 0
 let max_workers = Atomic.make 0
 
 let totals () =
@@ -81,16 +82,20 @@ let totals () =
     submitted = Atomic.get n_submitted;
     run = Atomic.get n_run;
     stolen = Atomic.get n_stolen;
+    spawned = Atomic.get n_spawned;
   }
 
 let reset_totals () =
-  List.iter (fun c -> Atomic.set c 0) [ n_submitted; n_run; n_stolen ]
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ n_submitted; n_run; n_stolen; n_spawned ]
 
 let () =
   Obs.register_stats ~name:"pool" (fun () ->
       Obs.Assoc
         [
           ("workers", Obs.Int (Atomic.get max_workers));
+          ("spawned", Obs.Int (Atomic.get n_spawned));
           ("submitted", Obs.Int (Atomic.get n_submitted));
           ("run", Obs.Int (Atomic.get n_run));
           ("stolen", Obs.Int (Atomic.get n_stolen));
@@ -105,14 +110,15 @@ type 'a future = {
 }
 
 type t = {
-  workers : int;  (* worker domain count; 0 = sequential *)
+  workers : int;  (* most worker domains it runs; 0 = sequential *)
   deques : Deque.t array;  (* one per worker *)
   injector : Deque.t;  (* submissions from outside the pool *)
   plock : Mutex.t;
   work_available : Condition.t;
   mutable pending : int;  (* tasks enqueued and not yet picked up *)
+  mutable idle : int;  (* workers blocked on [work_available] *)
   mutable stop : bool;
-  mutable domains : unit Domain.t array;
+  mutable domains : unit Domain.t list;  (* spawned so far, newest first *)
 }
 
 (* Identifies the pool and worker index of the current domain, so that
@@ -123,21 +129,12 @@ let ctx_key : (t * int) option Domain.DLS.key =
 (* Any integer is a valid request: negative sizes clamp to sequential,
    like [create ~size]; only unparseable values warn and fall back. *)
 let default_size () =
-  max 0
-    (Env.int "POWERLIM_JOBS"
-       ~default:(Domain.recommended_domain_count () - 1))
+  max 0 (Env.int "POWERLIM_JOBS" ~default:(Domain.recommended_domain_count ()))
 
 let size pool = pool.workers
 let parallelism pool = max 1 pool.workers
 
 (* ---- queue plumbing ---------------------------------------------- *)
-
-let enqueue pool dq task =
-  Mutex.lock pool.plock;
-  pool.pending <- pool.pending + 1;
-  Deque.push_bottom dq task;
-  Condition.broadcast pool.work_available;
-  Mutex.unlock pool.plock
 
 let took pool =
   Mutex.lock pool.plock;
@@ -194,11 +191,40 @@ let rec worker_loop pool wid =
       worker_loop pool wid
     end
     else begin
+      pool.idle <- pool.idle + 1;
       Condition.wait pool.work_available pool.plock;
+      pool.idle <- pool.idle - 1;
       Mutex.unlock pool.plock;
       worker_loop pool wid
     end
   end
+
+(* Under [plock].  Workers are spawned on demand and kept: a pool that is
+   never handed a task costs no domain, and so takes no part in the
+   stop-the-world minor collections every live domain joins. *)
+let spawn_locked pool =
+  let wid = List.length pool.domains in
+  let d =
+    Domain.spawn (fun () ->
+        Domain.DLS.set ctx_key (Some (pool, wid));
+        worker_loop pool wid)
+  in
+  pool.domains <- d :: pool.domains;
+  Atomic.incr n_spawned
+
+(* A task that finds no idle worker to take it gets a new one, up to the
+   pool size.  [Mutex.protect]: a failed spawn must not leave [plock]
+   held. *)
+let enqueue pool dq task =
+  Mutex.protect pool.plock (fun () ->
+      pool.pending <- pool.pending + 1;
+      Deque.push_bottom dq task;
+      if
+        pool.pending > pool.idle
+        && List.length pool.domains < pool.workers
+        && not pool.stop
+      then spawn_locked pool;
+      Condition.broadcast pool.work_available)
 
 (* ---- futures ------------------------------------------------------ *)
 
@@ -310,17 +336,12 @@ let create ?size () =
       plock = Mutex.create ();
       work_available = Condition.create ();
       pending = 0;
+      idle = 0;
       stop = false;
-      domains = [||];
+      domains = [];
     }
   in
   if workers > Atomic.get max_workers then Atomic.set max_workers workers;
-  if workers > 0 then
-    pool.domains <-
-      Array.init workers (fun wid ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set ctx_key (Some (pool, wid));
-              worker_loop pool wid));
   pool
 
 let shutdown pool =
@@ -329,8 +350,9 @@ let shutdown pool =
     let already = pool.stop in
     pool.stop <- true;
     Condition.broadcast pool.work_available;
+    let domains = pool.domains in
     Mutex.unlock pool.plock;
-    if not already then Array.iter Domain.join pool.domains
+    if not already then List.iter Domain.join domains
   end
 
 let default_pool = ref None

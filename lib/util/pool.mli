@@ -1,18 +1,28 @@
-(** A fixed-size pool of worker domains with per-worker work-stealing
+(** A bounded pool of worker domains with per-worker work-stealing
     deques, shared by every parallel stage of the system (the experiment
     sweeps, the MILP branch-and-bound, the benchmark harness).
 
     Design notes:
 
-    - The pool owns [size] worker domains.  Tasks submitted from outside
-      the pool land in a shared injector queue; tasks submitted from a
-      worker (nested submission) are pushed onto that worker's own deque
-      and are executed LIFO by the owner, while idle workers steal FIFO
-      from the other end — the classic work-stealing discipline that
-      keeps nested fork/join jobs cache-local.
+    - The pool runs at most [size] worker domains, spawned on demand:
+      [create] starts none, and a queued task that finds no idle worker
+      to take it spawns one more, up to [size].  An unused pool costs
+      nothing, which matters because every live domain takes part in
+      each stop-the-world minor collection: idle workers slow down a
+      process that never hands them a task (EXPERIMENTS.md, bound-512).
+    - Spawned workers stay until {!shutdown}.  A variant that retired
+      idle workers once the queues drained, and spawned them again on
+      the next burst, raised the serving daemon's peak RSS from 85–88
+      MB to 117–136 MB on a two-core host.
+    - Tasks submitted from outside the pool land in a shared injector
+      queue; tasks submitted from a worker (nested submission) are
+      pushed onto that worker's own deque and are executed LIFO by the
+      owner, while idle workers steal FIFO from the other end — the
+      classic work-stealing discipline that keeps nested fork/join jobs
+      cache-local.
     - [await] called from a worker {e helps}: while its future is
       pending it keeps executing other queued tasks, so nested
-      submit/await never deadlocks a fixed-size pool.
+      submit/await never deadlocks a bounded pool.
     - A pool of size [<= 1] degrades to sequential execution in the
       calling domain: [submit] runs the closure immediately.  All public
       entry points therefore behave identically (including exception
@@ -30,15 +40,16 @@ type 'a future
 val default_size : unit -> int
 (** Pool size chosen by the environment: [POWERLIM_JOBS] if set and
     parseable (clamped to [>= 0]), otherwise
-    [Domain.recommended_domain_count () - 1]. *)
+    [Domain.recommended_domain_count ()]. *)
 
 val create : ?size:int -> unit -> t
-(** [create ~size ()] spawns [size] worker domains ([default_size ()] if
-    omitted).  [size <= 1] creates a sequential pool that spawns no
-    domains. *)
+(** [create ~size ()] makes a pool of up to [size] worker domains
+    ([default_size ()] if omitted) and spawns none of them yet: they
+    start as tasks are queued.  [size <= 1] creates a sequential pool
+    that never spawns a domain. *)
 
 val size : t -> int
-(** Number of worker domains (0 for a sequential pool). *)
+(** Most worker domains the pool runs (0 for a sequential pool). *)
 
 val parallelism : t -> int
 (** Degree of parallelism for reporting: [max 1 (size t)]. *)
@@ -63,10 +74,10 @@ val shutdown : t -> unit
     Idempotent.  Futures still pending from another domain's viewpoint
     must not be awaited after shutdown. *)
 
-type totals = { submitted : int; run : int; stolen : int }
-(** Process-wide task counters across every pool: tasks submitted, tasks
-    executed (sequential pools included), and tasks obtained by stealing
-    from another worker's deque. *)
+type totals = { submitted : int; run : int; stolen : int; spawned : int }
+(** Process-wide counters across every pool: tasks submitted, tasks
+    executed (sequential pools included), tasks obtained by stealing
+    from another worker's deque, and worker domains spawned. *)
 
 val totals : unit -> totals
 

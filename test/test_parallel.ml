@@ -106,6 +106,32 @@ let test_nested_exception () =
       | exception Boom 2 -> ())
 
 (* ------------------------------------------------------------------ *)
+(* workers spawn on demand                                             *)
+(* ------------------------------------------------------------------ *)
+
+let spawned () = (Putil.Pool.totals ()).Putil.Pool.spawned
+
+let test_create_spawns_nothing () =
+  let before = spawned () in
+  with_pool 4 (fun pool ->
+      Alcotest.(check int) "size is the bound" 4 (Putil.Pool.size pool);
+      Alcotest.(check int) "no domain before the first submit" before
+        (spawned ()))
+
+let test_spawn_bounded_by_size () =
+  let before = spawned () in
+  with_pool 4 (fun pool ->
+      let ys =
+        Putil.Pool.parallel_map pool (fun x -> x + 1) (List.init 16 Fun.id)
+      in
+      Alcotest.(check (list int)) "results" (List.init 16 succ) ys);
+  let n = spawned () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "16 tasks spawn 1..4 domains (spawned %d)" n)
+    true
+    (n >= 1 && n <= 4)
+
+(* ------------------------------------------------------------------ *)
 (* POWERLIM_JOBS parsing                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -208,6 +234,10 @@ let suite =
         Alcotest.test_case "nested parallel_map" `Quick
           test_nested_parallel_map;
         Alcotest.test_case "nested exception" `Quick test_nested_exception;
+        Alcotest.test_case "create spawns no domain" `Quick
+          test_create_spawns_nothing;
+        Alcotest.test_case "spawns at most size domains" `Quick
+          test_spawn_bounded_by_size;
         Alcotest.test_case "POWERLIM_JOBS parsing" `Quick
           test_jobs_env_parsing;
       ] );

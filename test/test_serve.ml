@@ -380,6 +380,107 @@ let test_daemon_ignores_other_output_versions () =
           Alcotest.(check string) "control: the planted bytes are served"
             out45 out))
 
+(* A daemon solves each what-if base once: a second what-if on the same
+   (scenario, cap) takes the base's outcome and basis from the pipeline's
+   base stage and runs only its warm edit, and still returns the offline
+   CLI's bytes.  The offline references are rendered with the cache off,
+   as a fresh CLI process would, so each solves its base cold. *)
+let test_daemon_what_if_base_stage () =
+  let fail = ([ Core.Event_lp.Fail_socket 1 ], "\"fail_sockets\":[1]") in
+  let drop = ([ Core.Event_lp.Drop_rank 2 ], "\"drop_ranks\":[2]") in
+  let fail40 = (40.0, fail) and drop40 = (40.0, drop) in
+  let fail45 = (45.0, fail) in
+  let cold_solves () = (Lp.Stats.snapshot ()).Lp.Stats.cold_solves in
+  let counting f =
+    let c0 = cold_solves () in
+    let v = f () in
+    (v, cold_solves () - c0)
+  in
+  let with_cache_off f =
+    let was = Putil.Cache.enabled () in
+    Putil.Cache.set_enabled false;
+    Fun.protect ~finally:(fun () -> Putil.Cache.set_enabled was) f
+  in
+  let offline (cap, (edits, _)) =
+    with_cache_off (fun () ->
+        let o, cold =
+          counting (fun () ->
+              Serve.Handlers.what_if ~app:Workloads.Apps.CoMD ~ranks:4 ~iters:3
+                ~seed:42 ~cap ~edits ())
+        in
+        Alcotest.(check int) "offline: one cold solve (the base)" 1 cold;
+        o)
+  in
+  let o_fail40 = offline fail40
+  and o_drop40 = offline drop40
+  and o_fail45 = offline fail45 in
+  let serve c (cap, (_, field)) =
+    counting (fun () ->
+        Serve.Client.request c
+          (Serve.Json.of_string
+             (Printf.sprintf
+                "{\"op\":\"what-if\",\"app\":\"comd\",\"ranks\":4,\
+                 \"iters\":3,\"cap\":%g,%s}"
+                cap field)))
+  in
+  let same_bytes what (o : Serve.Handlers.outcome) r =
+    Alcotest.(check string) (what ^ ": stdout = CLI stdout")
+      o.Serve.Handlers.out (str_exn "output" r);
+    Alcotest.(check string) (what ^ ": stderr = CLI stderr")
+      o.Serve.Handlers.err (str_exn "err" r);
+    Alcotest.(check bool) (what ^ ": status echoed") true
+      (get_exn "status" r = Putil.Obs.Int o.Serve.Handlers.status)
+  in
+  let base () =
+    Pipeline.Stages.base
+      (Pipeline.Stages.Synthetic
+         ( Workloads.Apps.CoMD,
+           { Workloads.Apps.nranks = 4; iterations = 3; seed = 42; scale = 1.0 }
+         ))
+      ~power_cap:160.0
+  in
+  let copy_basis (b : Pipeline.Stages.base) =
+    Option.map
+      (fun (w : Lp.Revised.basis) ->
+        (Array.copy w.Lp.Revised.basic, Array.copy w.Lp.Revised.vstat))
+      b.Pipeline.Stages.basis
+  in
+  let dir = mkdtemp () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      with_cache_enabled (fun () ->
+          Putil.Cache.clear_all ();
+          with_daemon dir (fun c ->
+              let r, cold = serve c fail40 in
+              same_bytes "first what-if" o_fail40 r;
+              Alcotest.(check int) "first what-if solves its base" 1 cold;
+              let b = base () in
+              let before = copy_basis b in
+              Alcotest.(check bool) "the base has a basis" true
+                (before <> None);
+              let r, cold = serve c drop40 in
+              same_bytes "second what-if" o_drop40 r;
+              Alcotest.(check int) "second what-if: base-stage hit" 0 cold;
+              Alcotest.(check bool) "one shared base" true (base () == b);
+              Alcotest.(check bool) "cached basis unchanged by the edit" true
+                (copy_basis b = before);
+              let r, cold = serve c fail45 in
+              same_bytes "other cap" o_fail45 r;
+              Alcotest.(check int) "another cap misses" 1 cold));
+      (* POWERLIM_CACHE=0: the same bytes, a cold base solve per request *)
+      with_cache_off (fun () ->
+          with_daemon dir (fun c ->
+              List.iter
+                (fun (case, o) ->
+                  let r, cold = serve c case in
+                  same_bytes "cache off" o r;
+                  Alcotest.(check int) "cache off: a cold solve per request" 1
+                    cold)
+                [
+                  (fail40, o_fail40); (drop40, o_drop40); (fail45, o_fail45);
+                ])))
+
 let test_daemon_refuses_malformed_under_client_id () =
   with_cache_enabled (fun () ->
       let dir = mkdtemp () in
@@ -468,6 +569,8 @@ let suite =
           test_daemon_byte_identity_and_tiers;
         Alcotest.test_case "other output versions are not served" `Slow
           test_daemon_ignores_other_output_versions;
+        Alcotest.test_case "what-if bases solved once per process" `Slow
+          test_daemon_what_if_base_stage;
         Alcotest.test_case "malformed requests refused under client id"
           `Quick test_daemon_refuses_malformed_under_client_id;
       ] );
