@@ -18,10 +18,10 @@ let make ?(socket_seed = 7) ?(variability = 0.04) (graph : Dag.Graph.t) : t =
   in
   (* Frontier enumeration is deduplicated: within one build, every task
      with the same (socket efficiency, profile) content shares one
-     physical hull array, and [Frontier.convex_memo] extends that
-     sharing across scenario builds through the process-wide cache.  The
-     local table also covers the cache-disabled mode, where intra-build
-     sharing (and the O(distinct pairs) build cost) is preserved. *)
+     physical hull array, so a build costs one hull per distinct pair.
+     Across builds nothing is shared: a build runs only on a scenario
+     cache miss, and a process-wide frontier cache behind this table
+     took no hit on the default sweep or on serve-mix's daemons. *)
   let local : (string, Pareto.Frontier.t) Hashtbl.t = Hashtbl.create 64 in
   let frontiers =
     Array.map
@@ -32,7 +32,7 @@ let make ?(socket_seed = 7) ?(variability = 0.04) (graph : Dag.Graph.t) : t =
           match Hashtbl.find_opt local key with
           | Some f -> f
           | None ->
-              let f = Pareto.Frontier.convex_memo sockets.(t.rank) t.profile in
+              let f = Pareto.Frontier.convex sockets.(t.rank) t.profile in
               Hashtbl.add local key f;
               f
         end)

@@ -14,10 +14,9 @@ type t = {
 
 val make : ?socket_seed:int -> ?variability:float -> Dag.Graph.t -> t
 (** Builds the socket fleet and every task's convex frontier.  Frontier
-    construction is deduplicated: tasks whose (socket efficiency,
-    profile) inputs are equal share one physical hull array, within a
-    build always and across builds through the process-wide frontier
-    cache ({!Pareto.Frontier.convex_memo}). *)
+    construction is deduplicated within a build: tasks whose (socket
+    efficiency, profile) inputs are equal ({!Pareto.Frontier.memo_key})
+    share one physical hull array. *)
 
 val equal : t -> t -> bool
 (** Structural, seed- and parameter-inclusive equality. *)

@@ -11,7 +11,7 @@ let run ?(config = Common.default_config) ppf =
   let socket = socket.(0) in
   let profile = comd_task_profile () in
   let all = Pareto.Frontier.enumerate socket profile in
-  let hull = Pipeline.Stages.frontier socket profile in
+  let hull = Pareto.Frontier.convex socket profile in
   let on_hull (p : Pareto.Point.t) =
     Array.exists
       (fun (h : Pareto.Point.t) -> h.freq = p.freq && h.threads = p.threads)

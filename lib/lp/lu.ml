@@ -597,8 +597,17 @@ let unit_btran t ~pos =
     never change after insertion, so the two copies stay consistent by
     construction.  The active elimination order is a doubly linked list
     over slots with monotone integer keys ([okey]); moving a slot to
-    the border is O(1). *)
+    the border is O(1).
+
+    The numeric loops of the solves index without bounds checks
+    ({!Unchecked}): every index they use is a slot, a permutation entry
+    or a factor index whose range [of_factor] checks as the
+    factorization enters, and that [update] keeps in range; the kernels
+    check the vectors and seed indices callers pass.  [validate]
+    re-checks the whole structure. *)
 module Ft = struct
+  open Unchecked
+
   (* Reusable m-sized workspace: one per solver, survives
      refactorizations.  Single-owner mutable state, like [swork]. *)
   type wsp = {
@@ -698,9 +707,139 @@ module Ft = struct
       ni.(s) <- last
     end
 
+  (* --- structure checks ------------------------------------------- *)
+
+  exception Broken of string
+
+  let broken fmt = Printf.ksprintf (fun s -> raise (Broken s)) fmt
+
+  (* The frozen factorization as the solves index it: the row and column
+     permutations inverted by [pos] and [cpos], L strictly below and U
+     strictly above the diagonal in pivot order, values beside indices. *)
+  let check_base (base : t) (cpos : int array) =
+    let m = base.m in
+    List.iter
+      (fun (what, n) -> if n <> m then broken "%s has length %d, not %d" what n m)
+      [
+        ("p", Array.length base.p);
+        ("pos", Array.length base.pos);
+        ("cperm", Array.length base.cperm);
+        ("cpos", Array.length cpos);
+        ("udiag", Array.length base.udiag);
+        ("lrows", Array.length base.lrows);
+        ("lvals", Array.length base.lvals);
+        ("urows", Array.length base.urows);
+        ("uvals", Array.length base.uvals);
+      ];
+    for k = 0 to m - 1 do
+      let i = base.p.(k) in
+      if i < 0 || i >= m || base.pos.(i) <> k then
+        broken "row permutation: pos does not invert p at step %d" k;
+      let c = base.cperm.(k) in
+      if c < 0 || c >= m || cpos.(c) <> k then
+        broken "column permutation: cpos does not invert cperm at step %d" k;
+      let rs = base.lrows.(k) in
+      if Array.length base.lvals.(k) <> Array.length rs then
+        broken "L column %d: %d values for %d indices" k
+          (Array.length base.lvals.(k)) (Array.length rs);
+      for e = 0 to Array.length rs - 1 do
+        if rs.(e) <= k || rs.(e) >= m then
+          broken "L column %d holds index %d" k rs.(e)
+      done;
+      let rs = base.urows.(k) in
+      if Array.length base.uvals.(k) <> Array.length rs then
+        broken "U column %d: %d values for %d indices" k
+          (Array.length base.uvals.(k)) (Array.length rs);
+      for e = 0 to Array.length rs - 1 do
+        if rs.(e) < 0 || rs.(e) >= k then
+          broken "U column %d holds index %d" k rs.(e)
+      done
+    done
+
+  (* The updatable state: both copies of the dynamic U (indices in range
+     and earlier in the active order than their column), the row-eta
+     file, the kept spike's support, and an active order that visits
+     each slot once in increasing key order.  The per-slot arrays are
+     made [m] long with the workspace and the wrapper ([of_factor]
+     checks the workspace's dimension); only the inner U rows and
+     columns and the eta file grow. *)
+  let check_dynamic u =
+    let m = u.base.m and w = u.w in
+    let side ~by_col (ni : int array) (ii : int array array)
+        (vv : float array array) =
+      let what = if by_col then "column" else "row" in
+      let total = ref 0 in
+      for s = 0 to m - 1 do
+        let n = ni.(s) in
+        if n < 0 || n > Array.length ii.(s) || n > Array.length vv.(s) then
+          broken "U %s %d: %d entries exceed the storage" what s n;
+        for e = 0 to n - 1 do
+          let i = ii.(s).(e) in
+          if i < 0 || i >= m then broken "U %s %d holds index %d" what s i;
+          let row, col = if by_col then (i, s) else (s, i) in
+          if w.okey.(row) >= w.okey.(col) then
+            broken "U entry (%d, %d) is not above the diagonal" row col
+        done;
+        total := !total + n
+      done;
+      !total
+    in
+    let ncol = side ~by_col:true u.ucol_n u.ucol_i u.ucol_v in
+    let nrow = side ~by_col:false u.urow_n u.urow_j u.urow_v in
+    if ncol <> nrow || u.unnz <> m + ncol then
+      broken "U holds %d entries by column, %d by row, %d counted" ncol nrow
+        (u.unnz - m);
+    if u.ne < 0 || u.ne > Array.length u.re_t || u.ne >= Array.length u.re_ptr
+    then broken "%d row etas overflow their storage" u.ne;
+    if u.re_ptr.(0) <> 0 then broken "row-eta offsets start at %d" u.re_ptr.(0);
+    for e = 0 to u.ne - 1 do
+      let t = u.re_t.(e) in
+      if t < 0 || t >= m then broken "row eta %d eliminates slot %d" e t;
+      let lo = u.re_ptr.(e) and hi = u.re_ptr.(e + 1) in
+      if hi < lo || hi > Array.length u.re_j || hi > Array.length u.re_mu then
+        broken "row eta %d spans [%d, %d)" e lo hi;
+      for q = lo to hi - 1 do
+        let j = u.re_j.(q) in
+        if j < 0 || j >= m then broken "row eta %d holds index %d" e j
+      done
+    done;
+    if u.re_ptr.(u.ne) <> u.re_len then
+      broken "row etas end at %d, file length %d" u.re_ptr.(u.ne) u.re_len;
+    if w.spike_n > m then broken "spike support of %d" w.spike_n;
+    for e = 0 to w.spike_n - 1 do
+      let i = w.spike_ind.(e) in
+      if i < 0 || i >= m then broken "spike support holds index %d" i
+    done;
+    let seen = Array.make m false in
+    let k = ref u.ohead and prev = ref (-1) and count = ref 0 in
+    while !k >= 0 do
+      let s = !k in
+      if s >= m || seen.(s) then broken "active order revisits slot %d" s;
+      seen.(s) <- true;
+      if w.oprev.(s) <> !prev then
+        broken "active order: slot %d follows %d, linked back to %d" s !prev
+          w.oprev.(s);
+      if !prev >= 0 && w.okey.(!prev) >= w.okey.(s) then
+        broken "active order keys do not increase at slot %d" s;
+      incr count;
+      prev := s;
+      k := w.onext.(s)
+    done;
+    if !k <> -1 || !count <> m || u.otail <> !prev then
+      broken "active order visits %d of %d slots, ending at %d (tail %d)" !count
+        m !prev u.otail
+
   let of_factor (w : wsp) (base : t) =
     let m = base.m in
+    if Array.length w.okey <> m then
+      invalid_arg
+        (Printf.sprintf
+           "Lu.Ft.of_factor: workspace of dimension %d for a factorization of \
+            dimension %d"
+           (Array.length w.okey) m);
     let cpos = (tsym base).cpos in
+    (try check_base base cpos
+     with Broken s -> invalid_arg ("Lu.Ft.of_factor: " ^ s));
     let ucol_n = Array.make m 0
     and ucol_i = Array.make m [||]
     and ucol_v = Array.make m [||] in
@@ -771,18 +910,50 @@ module Ft = struct
   let fill_hwm u = u.fill_hwm
   let nupdates u = u.nupd
 
+  let validate u =
+    match
+      check_base u.base u.cpos;
+      check_dynamic u
+    with
+    | () -> Ok ()
+    | exception Broken s -> Error s
+
   (* --- solves ----------------------------------------------------- *)
 
+  (* Entry checks of the public solves: every vector is [m] long, and
+     the [n] seed indices of a sparse right-hand side are distinct and
+     in [0, m) (marked on the visit stamps, which every reach renews). *)
+  let check_vec fn what n m =
+    if n <> m then
+      invalid_arg
+        (Printf.sprintf "Lu.Ft.%s: %s has length %d, expected %d" fn what n m)
+
+  let check_seeds fn sw m (idx : int array) n =
+    if n < 0 || n > Array.length idx then
+      invalid_arg
+        (Printf.sprintf "Lu.Ft.%s: %d seeds in an index array of length %d" fn
+           n (Array.length idx));
+    sw.vepoch <- sw.vepoch + 1;
+    let ep = sw.vepoch in
+    for s = 0 to n - 1 do
+      let i = idx.(s) in
+      if i < 0 || i >= m || sw.vis.(i) = ep then
+        invalid_arg
+          (Printf.sprintf "Lu.Ft.%s: seed index %d out of range or repeated" fn
+             i);
+      sw.vis.(i) <- ep
+    done
+
   (* Shared by the dense and sparse FTRAN: apply the row etas, oldest
-     first, to the post-L intermediate held in [z] (dense array). *)
+     first, to the post-L intermediate held in [z] (dense, m long). *)
   let apply_row_etas u (z : float array) =
     for e = 0 to u.ne - 1 do
-      let t = u.re_t.(e) in
-      let acc = ref z.(t) in
-      for q = u.re_ptr.(e) to u.re_ptr.(e + 1) - 1 do
-        acc := !acc -. (u.re_mu.(q) *. z.(u.re_j.(q)))
+      let t = u.re_t.!(e) in
+      let acc = ref z.!(t) in
+      for q = u.re_ptr.!(e) to u.re_ptr.!(e + 1) - 1 do
+        acc := !acc -. (u.re_mu.!(q) *. z.!(u.re_j.!(q)))
       done;
-      z.(t) <- !acc
+      z.!(t) <- !acc
     done
 
   (** [ftran_d u ~keep_spike ~b ~x ~scratch] solves [B x = b] against
@@ -794,15 +965,18 @@ module Ft = struct
       ~(scratch : float array) =
     let base = u.base in
     let m = base.m in
+    check_vec "ftran_d" "b" (Array.length b) m;
+    check_vec "ftran_d" "x" (Array.length x) m;
+    check_vec "ftran_d" "scratch" (Array.length scratch) m;
     for k = 0 to m - 1 do
-      scratch.(k) <- b.(base.p.(k))
+      scratch.!(k) <- b.!(base.p.!(k))
     done;
     for k = 0 to m - 1 do
-      let zk = scratch.(k) in
+      let zk = scratch.!(k) in
       if zk <> 0.0 then begin
-        let rs = base.lrows.(k) and vs = base.lvals.(k) in
+        let rs = base.lrows.!(k) and vs = base.lvals.!(k) in
         for e = 0 to Array.length rs - 1 do
-          scratch.(rs.(e)) <- scratch.(rs.(e)) -. (vs.(e) *. zk)
+          scratch.!(rs.!(e)) <- scratch.!(rs.!(e)) -. (vs.!(e) *. zk)
         done
       end
     done;
@@ -815,16 +989,16 @@ module Ft = struct
     let k = ref u.otail in
     while !k >= 0 do
       let s = !k in
-      let xk = scratch.(s) /. u.d.(s) in
-      x.(base.cperm.(s)) <- xk;
+      let xk = scratch.!(s) /. u.d.!(s) in
+      x.!(base.cperm.!(s)) <- xk;
       if xk <> 0.0 then begin
-        let n = u.ucol_n.(s) in
-        let rs = u.ucol_i.(s) and vs = u.ucol_v.(s) in
+        let n = u.ucol_n.!(s) in
+        let rs = u.ucol_i.!(s) and vs = u.ucol_v.!(s) in
         for e = 0 to n - 1 do
-          scratch.(rs.(e)) <- scratch.(rs.(e)) -. (vs.(e) *. xk)
+          scratch.!(rs.!(e)) <- scratch.!(rs.!(e)) -. (vs.!(e) *. xk)
         done
       end;
-      k := u.w.oprev.(s)
+      k := u.w.oprev.!(s)
     done
 
   (** [btran_d u ~c ~y ~scratch] solves [Bᵀ y = c]; same indexing
@@ -834,39 +1008,43 @@ module Ft = struct
       ~(scratch : float array) =
     let base = u.base in
     let m = base.m in
+    check_vec "btran_d" "c" (Array.length c) m;
+    check_vec "btran_d" "y" (Array.length y) m;
+    check_vec "btran_d" "scratch" (Array.length scratch) m;
     (* Uᵀ forward, active order, gather over dynamic columns *)
     let k = ref u.ohead in
     while !k >= 0 do
       let s = !k in
-      let acc = ref c.(base.cperm.(s)) in
-      let n = u.ucol_n.(s) in
-      let rs = u.ucol_i.(s) and vs = u.ucol_v.(s) in
+      let acc = ref c.!(base.cperm.!(s)) in
+      let n = u.ucol_n.!(s) in
+      let rs = u.ucol_i.!(s) and vs = u.ucol_v.!(s) in
       for e = 0 to n - 1 do
-        acc := !acc -. (vs.(e) *. scratch.(rs.(e)))
+        acc := !acc -. (vs.!(e) *. scratch.!(rs.!(e)))
       done;
-      scratch.(s) <- !acc /. u.d.(s);
-      k := u.w.onext.(s)
+      scratch.!(s) <- !acc /. u.d.!(s);
+      k := u.w.onext.!(s)
     done;
     (* row-eta transposes, newest first: y_c -= mu_c · y_t *)
     for e = u.ne - 1 downto 0 do
-      let t = u.re_t.(e) in
-      let yt = scratch.(t) in
+      let t = u.re_t.!(e) in
+      let yt = scratch.!(t) in
       if yt <> 0.0 then
-        for q = u.re_ptr.(e) to u.re_ptr.(e + 1) - 1 do
-          scratch.(u.re_j.(q)) <- scratch.(u.re_j.(q)) -. (u.re_mu.(q) *. yt)
+        for q = u.re_ptr.!(e) to u.re_ptr.!(e + 1) - 1 do
+          scratch.!(u.re_j.!(q)) <-
+            scratch.!(u.re_j.!(q)) -. (u.re_mu.!(q) *. yt)
         done
     done;
     (* Lᵀ backward, static slot order *)
     for k = m - 1 downto 0 do
-      let acc = ref scratch.(k) in
-      let rs = base.lrows.(k) and vs = base.lvals.(k) in
+      let acc = ref scratch.!(k) in
+      let rs = base.lrows.!(k) and vs = base.lvals.!(k) in
       for e = 0 to Array.length rs - 1 do
-        acc := !acc -. (vs.(e) *. scratch.(rs.(e)))
+        acc := !acc -. (vs.!(e) *. scratch.!(rs.!(e)))
       done;
-      scratch.(k) <- !acc
+      scratch.!(k) <- !acc
     done;
     for k = 0 to m - 1 do
-      y.(base.p.(k)) <- scratch.(k)
+      y.!(base.p.!(k)) <- scratch.!(k)
     done
 
   (* Reachability like [reach_arr], but over ragged dynamic adjacency
@@ -932,6 +1110,10 @@ module Ft = struct
     let m = base.m in
     let w = u.w in
     let sw = w.sw in
+    check_vec "ftran_sp" "b" (Array.length b) m;
+    check_vec "ftran_sp" "x" (Array.length x) m;
+    check_vec "ftran_sp" "xind" (Array.length xind) m;
+    check_seeds "ftran_sp" sw m bidx nb;
     let cutoff = reach_cutoff m in
     let dense () =
       for s = 0 to nb - 1 do
@@ -955,22 +1137,22 @@ module Ft = struct
         sw.sepoch <- sw.sepoch + 1;
         let ep = sw.sepoch in
         for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          sw.sv.(k) <- 0.0;
-          sw.sstamp.(k) <- ep
+          let k = sw.r1.!(e) in
+          sw.sv.!(k) <- 0.0;
+          sw.sstamp.!(k) <- ep
         done;
         for s = 0 to nb - 1 do
-          let i = bidx.(s) in
-          sw.sv.(base.pos.(i)) <- b.(i)
+          let i = bidx.!(s) in
+          sw.sv.!(base.pos.!(i)) <- b.!(i)
         done;
         (* z = L⁻¹ P b over the reach, ascending slots *)
         for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          let zk = sw.sv.(k) in
+          let k = sw.r1.!(e) in
+          let zk = sw.sv.!(k) in
           if zk <> 0.0 then begin
-            let rs = base.lrows.(k) and vs = base.lvals.(k) in
+            let rs = base.lrows.!(k) and vs = base.lvals.!(k) in
             for q = 0 to Array.length rs - 1 do
-              sw.sv.(rs.(q)) <- sw.sv.(rs.(q)) -. (vs.(q) *. zk)
+              sw.sv.!(rs.!(q)) <- sw.sv.!(rs.!(q)) -. (vs.!(q) *. zk)
             done
           end
         done;
@@ -981,43 +1163,43 @@ module Ft = struct
         Array.blit sw.r1 0 sw.r2 0 n1;
         let nsup = ref n1 in
         for e = 0 to u.ne - 1 do
-          let t = u.re_t.(e) in
-          let tmem = sw.sstamp.(t) = ep in
+          let t = u.re_t.!(e) in
+          let tmem = sw.sstamp.!(t) = ep in
           let need = ref tmem in
           (if not !need then
-             let q = ref u.re_ptr.(e) in
-             let stop = u.re_ptr.(e + 1) in
+             let q = ref u.re_ptr.!(e) in
+             let stop = u.re_ptr.!(e + 1) in
              while (not !need) && !q < stop do
-               let j = u.re_j.(!q) in
-               if sw.sstamp.(j) = ep && sw.sv.(j) <> 0.0 then need := true;
+               let j = u.re_j.!(!q) in
+               if sw.sstamp.!(j) = ep && sw.sv.!(j) <> 0.0 then need := true;
                incr q
              done);
           if !need then begin
             if not tmem then begin
-              sw.sv.(t) <- 0.0;
-              sw.sstamp.(t) <- ep;
-              sw.r2.(!nsup) <- t;
+              sw.sv.!(t) <- 0.0;
+              sw.sstamp.!(t) <- ep;
+              sw.r2.!(!nsup) <- t;
               incr nsup
             end;
-            let acc = ref sw.sv.(t) in
-            for q = u.re_ptr.(e) to u.re_ptr.(e + 1) - 1 do
-              let j = u.re_j.(q) in
-              let zj = if sw.sstamp.(j) = ep then sw.sv.(j) else 0.0 in
-              acc := !acc -. (u.re_mu.(q) *. zj)
+            let acc = ref sw.sv.!(t) in
+            for q = u.re_ptr.!(e) to u.re_ptr.!(e + 1) - 1 do
+              let j = u.re_j.!(q) in
+              let zj = if sw.sstamp.!(j) = ep then sw.sv.!(j) else 0.0 in
+              acc := !acc -. (u.re_mu.!(q) *. zj)
             done;
-            sw.sv.(t) <- !acc
+            sw.sv.!(t) <- !acc
           end
         done;
         if keep_spike then begin
           (if w.spike_n < 0 then Array.fill w.spike 0 m 0.0
            else
              for e = 0 to w.spike_n - 1 do
-               w.spike.(w.spike_ind.(e)) <- 0.0
+               w.spike.!(w.spike_ind.!(e)) <- 0.0
              done);
           for e = 0 to !nsup - 1 do
-            let k = sw.r2.(e) in
-            w.spike.(k) <- sw.sv.(k);
-            w.spike_ind.(e) <- k
+            let k = sw.r2.!(e) in
+            w.spike.!(k) <- sw.sv.!(k);
+            w.spike_ind.!(e) <- k
           done;
           w.spike_n <- !nsup
         end;
@@ -1026,22 +1208,22 @@ module Ft = struct
         if n2 < 0 then dense ()
         else begin
           for e = !nsup to n2 - 1 do
-            let k = sw.r2.(e) in
-            sw.sv.(k) <- 0.0;
-            sw.sstamp.(k) <- ep
+            let k = sw.r2.!(e) in
+            sw.sv.!(k) <- 0.0;
+            sw.sstamp.!(k) <- ep
           done;
           sort_prefix_key sw.r2 n2 w.okey;
           (* back substitution, descending active order *)
           for e = n2 - 1 downto 0 do
-            let k = sw.r2.(e) in
-            let xk = sw.sv.(k) /. u.d.(k) in
-            x.(base.cperm.(k)) <- xk;
-            xind.(e) <- base.cperm.(k);
+            let k = sw.r2.!(e) in
+            let xk = sw.sv.!(k) /. u.d.!(k) in
+            x.!(base.cperm.!(k)) <- xk;
+            xind.!(e) <- base.cperm.!(k);
             if xk <> 0.0 then begin
-              let n = u.ucol_n.(k) in
-              let rs = u.ucol_i.(k) and vs = u.ucol_v.(k) in
+              let n = u.ucol_n.!(k) in
+              let rs = u.ucol_i.!(k) and vs = u.ucol_v.!(k) in
               for q = 0 to n - 1 do
-                sw.sv.(rs.(q)) <- sw.sv.(rs.(q)) -. (vs.(q) *. xk)
+                sw.sv.!(rs.!(q)) <- sw.sv.!(rs.!(q)) -. (vs.!(q) *. xk)
               done
             end
           done;
@@ -1061,6 +1243,10 @@ module Ft = struct
     let m = base.m in
     let w = u.w in
     let sw = w.sw in
+    check_vec "btran_sp" "c" (Array.length c) m;
+    check_vec "btran_sp" "y" (Array.length y) m;
+    check_vec "btran_sp" "yind" (Array.length yind) m;
+    check_seeds "btran_sp" sw m cidx nc;
     let cutoff = reach_cutoff m in
     let dense () =
       for s = 0 to nc - 1 do
@@ -1086,43 +1272,43 @@ module Ft = struct
         sw.sepoch <- sw.sepoch + 1;
         let ep = sw.sepoch in
         for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          sw.sv.(k) <- 0.0;
-          sw.sstamp.(k) <- ep
+          let k = sw.r1.!(e) in
+          sw.sv.!(k) <- 0.0;
+          sw.sstamp.!(k) <- ep
         done;
         for s = 0 to nc - 1 do
-          let j = cidx.(s) in
-          sw.sv.(u.cpos.(j)) <- c.(j)
+          let j = cidx.!(s) in
+          sw.sv.!(u.cpos.!(j)) <- c.!(j)
         done;
         (* Uᵀ w = c: forward gather, ascending active order *)
         for e = 0 to n1 - 1 do
-          let k = sw.r1.(e) in
-          let acc = ref sw.sv.(k) in
-          let n = u.ucol_n.(k) in
-          let rs = u.ucol_i.(k) and vs = u.ucol_v.(k) in
+          let k = sw.r1.!(e) in
+          let acc = ref sw.sv.!(k) in
+          let n = u.ucol_n.!(k) in
+          let rs = u.ucol_i.!(k) and vs = u.ucol_v.!(k) in
           for q = 0 to n - 1 do
-            let i = rs.(q) in
-            let wi = if sw.sstamp.(i) = ep then sw.sv.(i) else 0.0 in
-            acc := !acc -. (vs.(q) *. wi)
+            let i = rs.!(q) in
+            let wi = if sw.sstamp.!(i) = ep then sw.sv.!(i) else 0.0 in
+            acc := !acc -. (vs.!(q) *. wi)
           done;
-          sw.sv.(k) <- !acc /. u.d.(k)
+          sw.sv.!(k) <- !acc /. u.d.!(k)
         done;
         (* row-eta transposes, newest first (scatter) *)
         Array.blit sw.r1 0 sw.r2 0 n1;
         let nsup = ref n1 in
         for e = u.ne - 1 downto 0 do
-          let t = u.re_t.(e) in
-          if sw.sstamp.(t) = ep && sw.sv.(t) <> 0.0 then begin
-            let yt = sw.sv.(t) in
-            for q = u.re_ptr.(e) to u.re_ptr.(e + 1) - 1 do
-              let j = u.re_j.(q) in
-              if sw.sstamp.(j) <> ep then begin
-                sw.sv.(j) <- 0.0;
-                sw.sstamp.(j) <- ep;
-                sw.r2.(!nsup) <- j;
+          let t = u.re_t.!(e) in
+          if sw.sstamp.!(t) = ep && sw.sv.!(t) <> 0.0 then begin
+            let yt = sw.sv.!(t) in
+            for q = u.re_ptr.!(e) to u.re_ptr.!(e + 1) - 1 do
+              let j = u.re_j.!(q) in
+              if sw.sstamp.!(j) <> ep then begin
+                sw.sv.!(j) <- 0.0;
+                sw.sstamp.!(j) <- ep;
+                sw.r2.!(!nsup) <- j;
                 incr nsup
               end;
-              sw.sv.(j) <- sw.sv.(j) -. (u.re_mu.(q) *. yt)
+              sw.sv.!(j) <- sw.sv.!(j) -. (u.re_mu.!(q) *. yt)
             done
           end
         done;
@@ -1135,23 +1321,23 @@ module Ft = struct
         if n2 < 0 then dense ()
         else begin
           for e = !nsup to n2 - 1 do
-            let k = sw.r2.(e) in
-            sw.sv.(k) <- 0.0;
-            sw.sstamp.(k) <- ep
+            let k = sw.r2.!(e) in
+            sw.sv.!(k) <- 0.0;
+            sw.sstamp.!(k) <- ep
           done;
           sort_prefix sw.r2 n2;
           for e = n2 - 1 downto 0 do
-            let k = sw.r2.(e) in
-            let acc = ref sw.sv.(k) in
-            let rs = base.lrows.(k) and vs = base.lvals.(k) in
+            let k = sw.r2.!(e) in
+            let acc = ref sw.sv.!(k) in
+            let rs = base.lrows.!(k) and vs = base.lvals.!(k) in
             for q = 0 to Array.length rs - 1 do
-              let i = rs.(q) in
-              let vi = if sw.sstamp.(i) = ep then sw.sv.(i) else 0.0 in
-              acc := !acc -. (vs.(q) *. vi)
+              let i = rs.!(q) in
+              let vi = if sw.sstamp.!(i) = ep then sw.sv.!(i) else 0.0 in
+              acc := !acc -. (vs.!(q) *. vi)
             done;
-            sw.sv.(k) <- !acc;
-            y.(base.p.(k)) <- !acc;
-            yind.(e) <- base.p.(k)
+            sw.sv.!(k) <- !acc;
+            y.!(base.p.!(k)) <- !acc;
+            yind.!(e) <- base.p.!(k)
           done;
           sort_prefix yind n2;
           n2
@@ -1187,6 +1373,8 @@ module Ft = struct
       the 1e-9 certification against the determinant identity
       [d = wr · u_tt]. *)
   let update u ~pos:r ~wr =
+    if r < 0 || r >= u.base.m then
+      invalid_arg (Printf.sprintf "Lu.Ft.update: position %d out of range" r);
     let w = u.w in
     let t = u.cpos.(r) in
     (* drop the replaced column t: its entries leave the rows *)

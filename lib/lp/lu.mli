@@ -99,7 +99,13 @@ val unit_btran : t -> pos:int -> float array
     reachability over the factors' dependency DAG, so the triangular
     sweeps visit only positions reachable from the RHS nonzeros, with
     timestamped accumulators instead of O(m) clears, falling back to the
-    dense kernels when the reach set fills in. *)
+    dense kernels when the reach set fills in.
+
+    The solves' numeric loops index without bounds checks.  Each solve
+    raises [Invalid_argument] when a vector it is given is not [m] long,
+    or when a sparse right-hand side's seed indices are not distinct
+    indices below [m]; {!Ft.of_factor} checks the factorization they
+    index through. *)
 module Ft : sig
   type wsp
   (** Reusable m-sized workspace; one per concurrent solver, valid
@@ -114,7 +120,20 @@ module Ft : sig
   val of_factor : wsp -> t -> u
   (** Wrap a fresh factorization.  The base [t] is not mutated and
       remains independently usable; [wsp] becomes owned by the returned
-      [u] until the next [of_factor] on the same workspace. *)
+      [u] until the next [of_factor] on the same workspace.  Raises
+      [Invalid_argument] when [wsp] was made for another dimension, or
+      when [t]'s permutations or factor indices are not those of a
+      factorization of dimension [t.m] (as {!factor} builds them): the
+      solves below index through them without bounds checks. *)
+
+  val validate : u -> (unit, string) result
+  (** Re-check the whole structure the solves index through: the row
+      and column permutations are mutually inverse, every L, U and
+      row-eta index is a slot below [m] (L below and U above the
+      diagonal of the active order, U's column and row copies agreeing
+      in count), and the active order visits each slot exactly once.
+      [Error] names the first violation.  Linear in the factors' size;
+      for tests and {!Revised.solve}'s [~check:true]. *)
 
   val fill_ratio : u -> float
   (** (L + dynamic U + row-eta nonzeros) / nonzeros at [of_factor]

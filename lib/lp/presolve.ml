@@ -442,6 +442,11 @@ let solve_reduction ?max_iter ?feas_tol ?opt_tol ?rhs ?warm ?analysis ?bands
     match rhs with
     | None -> None
     | Some new_rhs ->
+        if Array.length new_rhs <> p.Model.nr then
+          invalid_arg
+            (Printf.sprintf
+               "Presolve.solve_reduction: rhs has length %d, expected %d"
+               (Array.length new_rhs) p.Model.nr);
         let b = Array.copy r.problem.Model.row_rhs in
         Array.iteri
           (fun k i ->

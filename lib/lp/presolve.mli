@@ -58,7 +58,8 @@ val solve_reduction :
     path behind {!Core.Event_lp.solve_prepared}.  [rhs] overrides the
     {e original-space} row RHS (each kept row's reduced RHS is patched by
     the delta); only sound when the changed rows were kept by the
-    reduction and cannot alter any reduction decision.  [warm] and the
+    reduction and cannot alter any reduction decision.  An [rhs] that is
+    not [p.nr] long raises [Invalid_argument].  [warm] and the
     returned [basis] field are in the {e reduced} space of [r], as is
     [analysis] (a {!Revised.make_analysis} of [r]'s reduced problem,
     valid across bound/RHS-only re-solves).  [bands] is an

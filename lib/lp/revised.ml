@@ -28,7 +28,16 @@
     inlined and every float stays unboxed.  The dual ratio test orders
     its candidates in a heap over parallel arrays instead of sorting
     them.  Each layer's wall time is summed in a local float array and
-    flushed to {!Stats} once per solve. *)
+    flushed to {!Stats} once per solve.
+
+    The pricing scans, both Harris passes and the dual's row scan,
+    pivot-row gather, candidate build and reduced-cost updates index
+    without bounds checks ({!Unchecked}): their indices are columns
+    below the solver's own cap-sized arrays, basis positions below [nr]
+    and entries of a constraint matrix whose structure [solve] checks on
+    entry, with the caller's bound and RHS vectors and analysis. *)
+
+open Unchecked
 
 type status = Optimal | Infeasible | Unbounded | Iter_limit
 
@@ -73,13 +82,64 @@ exception Invariant_broken of string
 let refactor_fill_limit = 2.0
 let ft_update_cap = 256
 
-type analysis = { arows : Sparse.Csc.rows }
+type analysis = { arows : Sparse.Csc.rows; nrows : int; ncols : int }
 (** Symbolic analysis of a problem's constraint matrix, reusable across
     solves that change only bounds/RHS (cap sweeps, branch-and-bound
     children).  Immutable after construction, so one value may be shared
-    freely across pool domains. *)
+    freely across pool domains.  The shape it was built for is kept so
+    that a solve can refuse an analysis of another matrix. *)
 
-let make_analysis (p : Model.problem) = { arows = Sparse.Csc.rows p.a }
+let make_analysis (p : Model.problem) =
+  {
+    arows = Sparse.Csc.rows p.a;
+    nrows = Sparse.Csc.nrows p.a;
+    ncols = Sparse.Csc.ncols p.a;
+  }
+
+(* What the unchecked scans index through, checked once per solve: the
+   bound and RHS vectors' lengths, the constraint matrix's structure
+   (an [nr] x [nv] matrix whose column pointers rise from 0 to its entry
+   count and whose row indices are below [nr]), and an analysis of that
+   shape. *)
+let check_inputs ~lb ~ub ~rhs ?analysis (p : Model.problem) =
+  let bad fmt =
+    Printf.ksprintf (fun s -> invalid_arg ("Revised.solve: " ^ s)) fmt
+  in
+  let nv = p.nv and nr = p.nr in
+  let len what (v : float array) n =
+    if Array.length v <> n then
+      bad "%s has length %d, expected %d" what (Array.length v) n
+  in
+  len "lb" lb nv;
+  len "ub" ub nv;
+  len "rhs" rhs nr;
+  let a = p.a in
+  if Sparse.Csc.nrows a <> nr || Sparse.Csc.ncols a <> nv then
+    bad "matrix is %dx%d, problem %dx%d" (Sparse.Csc.nrows a)
+      (Sparse.Csc.ncols a) nr nv;
+  let cp = a.colptr and nnz = Array.length a.rowind in
+  if Array.length cp <> nv + 1 then
+    bad "colptr has length %d, expected %d" (Array.length cp) (nv + 1);
+  if Array.length a.values <> nnz then
+    bad "%d values for %d row indices" (Array.length a.values) nnz;
+  if cp.(0) <> 0 || cp.(nv) <> nnz then
+    bad "colptr runs from %d to %d, not from 0 to %d" cp.(0) cp.(nv) nnz;
+  for j = 0 to nv - 1 do
+    if cp.(j + 1) < cp.(j) then bad "colptr decreases after column %d" j
+  done;
+  for k = 0 to nnz - 1 do
+    let i = a.rowind.(k) in
+    if i < 0 || i >= nr then bad "row index %d outside [0, %d)" i nr
+  done;
+  match analysis with
+  | Some an
+    when an.nrows <> nr || an.ncols <> nv
+         || Array.length an.arows.Sparse.Csc.colind <> nnz ->
+      bad "analysis of a %dx%d matrix with %d entries, not %dx%d with %d"
+        an.nrows an.ncols
+        (Array.length an.arows.Sparse.Csc.colind)
+        nr nv nnz
+  | _ -> ()
 
 (* --- columns of the working matrix [A | I | artificials] --------------
    Structural column [j < nv] is [a]'s, slack [nv + i] is the unit column
@@ -94,17 +154,20 @@ type cols = {
   art_sig : float array;
 }
 
-(* [a_j . y], summed in the Csc entry order {!Sparse.Csc.dot_col} uses. *)
+(* [a_j . y], summed in the Csc entry order {!Sparse.Csc.dot_col} uses.
+   Unchecked: [j] is a column below [nv + m + nart], the checked matrix
+   keeps [k] below its entry count and row indices below [m], [y] is m
+   long, and [art_row] holds rows for every artificial in use. *)
 let[@inline] col_dot c j (y : float array) =
   if j < c.nv then begin
     let s = ref 0.0 in
-    for k = c.a.colptr.(j) to c.a.colptr.(j + 1) - 1 do
-      s := !s +. (c.a.values.(k) *. y.(c.a.rowind.(k)))
+    for k = c.a.colptr.!(j) to c.a.colptr.!(j + 1) - 1 do
+      s := !s +. (c.a.values.!(k) *. y.!(c.a.rowind.!(k)))
     done;
     !s
   end
-  else if j < c.nv + c.m then y.(j - c.nv)
-  else c.art_sig.(j - c.nv - c.m) *. y.(c.art_row.(j - c.nv - c.m))
+  else if j < c.nv + c.m then y.!(j - c.nv)
+  else c.art_sig.!(j - c.nv - c.m) *. y.!(c.art_row.!(j - c.nv - c.m))
 
 (* [b <- b - v a_j], entry by entry in Csc order. *)
 let[@inline] col_sub c j v (b : float array) =
@@ -230,6 +293,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
   let lb_s = match lb with Some a -> a | None -> p.lb in
   let ub_s = match ub with Some a -> a | None -> p.ub in
   let rhs_s = match rhs with Some a -> a | None -> p.row_rhs in
+  check_inputs ~lb:lb_s ~ub:ub_s ~rhs:rhs_s ?analysis p;
   let max_iter = if max_iter > 0 then max_iter else 20_000 + (60 * m) in
   (* Layer times of every attempt, a warm one abandoned for cold
      included, so that they add up to the solve's wall time. *)
@@ -428,10 +492,24 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          updatable U storage, rebuilt (cheaply — the workspace is reused)
          at every refactorization. *)
       let ftw = Lu.Ft.make_wsp m in
+      let iters = ref 0 in
+      (* Test-only ([~check:true]): the structure the unchecked kernels
+         index through, re-checked after every factorization and every
+         update. *)
+      let check_structure what u =
+        if check then
+          match Lu.Ft.validate u with
+          | Ok () -> ()
+          | Error e ->
+              raise
+                (Invariant_broken
+                   (Printf.sprintf "iteration %d: %s: %s" !iters what e))
+      in
       let new_factor () =
         let t0 = Unix.gettimeofday () in
         let u = Lu.Ft.of_factor ftw (factor_repaired 0) in
         lap tm l_factor t0;
+        check_structure "factorization" u;
         u
       in
       let ft = ref (new_factor ()) in
@@ -593,7 +671,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         lap tm l_btran t0
       in
       (* --- simplex iterations ------------------------------------------ *)
-      let iters = ref 0 in
       let phase1 = ref 0 in
       let dual_pivots = ref 0 in
       let bound_flips = ref 0 in
@@ -657,7 +734,11 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         let t0 = Unix.gettimeofday () in
         let ok = Lu.Ft.update !ft ~pos:r ~wr:w.(r) in
         lap tm l_update t0;
-        if ok then incr c_ft_updates else refactorize ()
+        if ok then begin
+          incr c_ft_updates;
+          check_structure "update" !ft
+        end
+        else refactorize ()
       in
       (* Ratio test plus bound-flip/pivot for entering column [je] moving
          in direction [s]. *)
@@ -675,18 +756,18 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           else inf
         in
         for ti = 0 to sup_n - 1 do
-          let k = if !w_n < 0 then ti else w_ind.(ti) in
-          let delta = s *. w.(k) in
+          let k = if !w_n < 0 then ti else w_ind.!(ti) in
+          let delta = s *. w.!(k) in
           if Float.abs delta > 1e-9 then begin
-            let b = basis.(k) in
-            if delta > 0.0 && Float.is_finite lo.(b) then begin
-              let sl0 = x_basic.(k) -. lo.(b) in
+            let b = basis.!(k) in
+            if delta > 0.0 && Float.is_finite lo.!(b) then begin
+              let sl0 = x_basic.!(k) -. lo.!(b) in
               let slack = if sl0 > 0.0 then sl0 else 0.0 in
               let r = (slack +. feas_tol) /. delta in
               if r < !theta_max then theta_max := r
             end
-            else if delta < 0.0 && Float.is_finite hi.(b) then begin
-              let sl0 = hi.(b) -. x_basic.(k) in
+            else if delta < 0.0 && Float.is_finite hi.!(b) then begin
+              let sl0 = hi.!(b) -. x_basic.!(k) in
               let slack = if sl0 > 0.0 then sl0 else 0.0 in
               let r = (slack +. feas_tol) /. -.delta in
               if r < !theta_max then theta_max := r
@@ -702,19 +783,19 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
              largest pivot magnitude *)
           let leave = ref (-1) and lmag = ref 0.0 and lt = ref inf in
           for ti = 0 to sup_n - 1 do
-            let k = if !w_n < 0 then ti else w_ind.(ti) in
-            let delta = s *. w.(k) in
+            let k = if !w_n < 0 then ti else w_ind.!(ti) in
+            let delta = s *. w.!(k) in
             if Float.abs delta > 1e-9 then begin
-              let b = basis.(k) in
+              let b = basis.!(k) in
               (* slack < 0 encodes "not blocking" — real slacks are
                  clamped non-negative, so no option allocation needed *)
               let slack =
-                if delta > 0.0 && Float.is_finite lo.(b) then begin
-                  let sl0 = x_basic.(k) -. lo.(b) in
+                if delta > 0.0 && Float.is_finite lo.!(b) then begin
+                  let sl0 = x_basic.!(k) -. lo.!(b) in
                   if sl0 > 0.0 then sl0 else 0.0
                 end
-                else if delta < 0.0 && Float.is_finite hi.(b) then begin
-                  let sl0 = hi.(b) -. x_basic.(k) in
+                else if delta < 0.0 && Float.is_finite hi.!(b) then begin
+                  let sl0 = hi.!(b) -. x_basic.!(k) in
                   if sl0 > 0.0 then sl0 else 0.0
                 end
                 else -1.0
@@ -734,8 +815,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             if t_flip < t_leave then begin
               (* bound flip: no basis change *)
               for ti = 0 to sup_n - 1 do
-                let k = if !w_n < 0 then ti else w_ind.(ti) in
-                x_basic.(k) <- x_basic.(k) -. (s *. t_flip *. w.(k))
+                let k = if !w_n < 0 then ti else w_ind.!(ti) in
+                x_basic.!(k) <- x_basic.!(k) -. (s *. t_flip *. w.!(k))
               done;
               nb_at.(je) <- (if nb_at.(je) = 'l' then 'u' else 'l');
               lap tm l_ratio t0;
@@ -751,8 +832,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               let r = !leave in
               let t = t_leave in
               for ti = 0 to sup_n - 1 do
-                let k = if !w_n < 0 then ti else w_ind.(ti) in
-                x_basic.(k) <- x_basic.(k) -. (s *. t *. w.(k))
+                let k = if !w_n < 0 then ti else w_ind.!(ti) in
+                x_basic.!(k) <- x_basic.!(k) -. (s *. t *. w.!(k))
               done;
               let entering_val = nb_value nb_at lo hi je +. (s *. t) in
               let leaving = basis.(r) in
@@ -795,13 +876,13 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             let best_j = ref (-1) and best_mag = ref 0.0 and best_dir = ref 0 in
             while !scanned < total && not (!best_j >= 0 && !scanned >= window) do
               let j = !jj in
-              if where.(j) < 0 && lo.(j) < hi.(j) then begin
-                let d = cost.(j) -. col_dot cols j y in
+              if where.!(j) < 0 && lo.!(j) < hi.!(j) then begin
+                let d = cost.!(j) -. col_dot cols j y in
                 let mag = Float.abs d in
                 if mag > !best_mag then begin
-                  let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
+                  let tol = opt_tol *. (1.0 +. Float.abs cost.!(j)) in
                   let dir =
-                    match nb_at.(j) with
+                    match nb_at.!(j) with
                     | 'l' -> if d < -.tol then 1 else 0
                     | 'u' -> if d > tol then -1 else 0
                     | _ -> if d < -.tol then 1 else if d > tol then -1 else 0
@@ -855,7 +936,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           duals ();
           let t0 = Unix.gettimeofday () in
           for j = 0 to nv + m - 1 do
-            d.(j) <- (if where.(j) >= 0 then 0.0 else cost.(j) -. col_dot cols j y)
+            d.!(j) <-
+              (if where.!(j) >= 0 then 0.0 else cost.!(j) -. col_dot cols j y)
           done;
           lap tm l_price t0
         in
@@ -877,15 +959,15 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             let t0 = Unix.gettimeofday () in
             let lrow = ref (-1) and viol = ref feas_tol and below = ref true in
             for k = 0 to m - 1 do
-              let b = basis.(k) in
-              if lo.(b) -. x_basic.(k) > !viol then begin
+              let b = basis.!(k) in
+              if lo.!(b) -. x_basic.!(k) > !viol then begin
                 lrow := k;
-                viol := lo.(b) -. x_basic.(k);
+                viol := lo.!(b) -. x_basic.!(k);
                 below := true
               end;
-              if x_basic.(k) -. hi.(b) > !viol then begin
+              if x_basic.!(k) -. hi.!(b) > !viol then begin
                 lrow := k;
-                viol := x_basic.(k) -. hi.(b);
+                viol := x_basic.!(k) -. hi.!(b);
                 below := false
               end
             done;
@@ -904,47 +986,47 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                  only columns hit by supp(rho) can have nonzero alpha. *)
               let ntouched = ref 0 in
               let touch j =
-                if stamp.(j) <> !iters then begin
-                  stamp.(j) <- !iters;
-                  alpha_acc.(j) <- 0.0;
-                  touched.(!ntouched) <- j;
+                if stamp.!(j) <> !iters then begin
+                  stamp.!(j) <- !iters;
+                  alpha_acc.!(j) <- 0.0;
+                  touched.!(!ntouched) <- j;
                   incr ntouched
                 end
               in
               let rsup_n = if !rho_n < 0 then m else !rho_n in
               for rt = 0 to rsup_n - 1 do
-                let i = if !rho_n < 0 then rt else rho_ind.(rt) in
-                let ri = rho.(i) in
+                let i = if !rho_n < 0 then rt else rho_ind.!(rt) in
+                let ri = rho.!(i) in
                 if Float.abs ri > 1e-12 then begin
                   let js = nv + i in
                   touch js;
-                  alpha_acc.(js) <- alpha_acc.(js) +. ri;
-                  for k = arows.Sparse.Csc.rowptr.(i)
-                      to arows.Sparse.Csc.rowptr.(i + 1) - 1
+                  alpha_acc.!(js) <- alpha_acc.!(js) +. ri;
+                  for k = arows.Sparse.Csc.rowptr.!(i)
+                      to arows.Sparse.Csc.rowptr.!(i + 1) - 1
                   do
-                    let j = arows.Sparse.Csc.colind.(k) in
+                    let j = arows.Sparse.Csc.colind.!(k) in
                     touch j;
-                    alpha_acc.(j) <-
-                      alpha_acc.(j) +. (ri *. arows.Sparse.Csc.rvalues.(k))
+                    alpha_acc.!(j) <-
+                      alpha_acc.!(j) +. (ri *. arows.Sparse.Csc.rvalues.!(k))
                   done
                 end
               done;
               let nc = ref 0 in
               for tk = 0 to !ntouched - 1 do
-                let j = touched.(tk) in
-                if where.(j) < 0 && lo.(j) < hi.(j) then begin
-                  let alpha = alpha_acc.(j) in
+                let j = touched.!(tk) in
+                if where.!(j) < 0 && lo.!(j) < hi.!(j) then begin
+                  let alpha = alpha_acc.!(j) in
                   if Float.abs alpha > 1e-9 then begin
                     let eligible =
-                      match nb_at.(j) with
+                      match nb_at.!(j) with
                       | 'l' -> sigma *. alpha < 0.0
                       | 'u' -> sigma *. alpha > 0.0
                       | _ -> true
                     in
                     if eligible then begin
-                      dc_ratio.(!nc) <- Float.abs d.(j) /. Float.abs alpha;
-                      dc_alpha.(!nc) <- Float.abs alpha;
-                      dc_j.(!nc) <- j;
+                      dc_ratio.!(!nc) <- Float.abs d.!(j) /. Float.abs alpha;
+                      dc_alpha.!(!nc) <- Float.abs alpha;
+                      dc_j.!(!nc) <- j;
                       incr nc
                     end
                   end
@@ -1033,8 +1115,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                      reduced cost is -theta *)
                   let theta = d.(je) /. w.(r) in
                   for tk = 0 to !ntouched - 1 do
-                    let j = touched.(tk) in
-                    d.(j) <- d.(j) -. (theta *. alpha_acc.(j))
+                    let j = touched.!(tk) in
+                    d.!(j) <- d.!(j) -. (theta *. alpha_acc.!(j))
                   done;
                   d.(je) <- 0.0;
                   d.(b) <- -.theta;

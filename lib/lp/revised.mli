@@ -88,12 +88,21 @@ val solve :
     pivot ordering.  [max_iter <= 0] selects a size-dependent
     default.  [check] (default [false], for tests) verifies after every
     pivot that the incrementally updated basic point matches a solve
-    with a fresh factorization, raising {!Invariant_broken} otherwise;
-    it only observes, so the pivots and the result are unchanged. *)
+    with a fresh factorization, and after every factorization and every
+    Forrest–Tomlin update that the factors' structure is sound
+    ({!Lu.Ft.validate}), raising {!Invariant_broken} otherwise; it only
+    observes, so the pivots and the result are unchanged.
+
+    The solver's inner loops index without bounds checks, so [solve]
+    first raises [Invalid_argument] when [lb] or [ub] is not [nv] long,
+    [rhs] not [nr] long, [p.a] not an [nr] × [nv] matrix whose column
+    pointers rise from 0 to its entry count and whose row indices are
+    all below [nr], or [analysis] made from a matrix of another shape. *)
 
 exception Invariant_broken of string
 (** A [~check:true] solve found the basic point drifting more than
-    1e-6 from a fresh factorization's. *)
+    1e-6 from a fresh factorization's, or a factorization or update
+    whose structure {!Lu.Ft.validate} rejects. *)
 
 val dual_select :
   ratio:float array ->

@@ -105,15 +105,12 @@ let digest_fold h (f : t) =
   Putil.Hashing.int h (Array.length f);
   Array.iter (Point.digest_fold h) f
 
-(* ------------------------------------------------------------------ *)
-(* Memoized construction: the frontier-enumeration stage of the build
-   pipeline.  The key is derived from everything [convex] reads — the
-   machine parameters, the socket's efficiency (not its id: equally
-   efficient parts have identical frontiers) and the task profile — so
-   equal inputs share one physical hull array.  Frontiers are treated as
-   immutable by the whole system; callers must not mutate a memoized
+(* The content key of a hull: everything [convex] reads — the machine
+   parameters, the socket's efficiency (not its id: equally efficient
+   parts have identical frontiers) and the task profile — so that equal
+   inputs can share one physical hull array.  Frontiers are treated as
+   immutable by the whole system; callers must not mutate a shared
    array. *)
-
 let memo_key ?(params = Machine.Socket.default_params) (socket : Machine.Socket.t)
     profile =
   let h = Putil.Hashing.create () in
@@ -121,13 +118,6 @@ let memo_key ?(params = Machine.Socket.default_params) (socket : Machine.Socket.
   Putil.Hashing.float h socket.Machine.Socket.eff;
   Machine.Profile.digest_fold h profile;
   Putil.Hashing.hex h
-
-let memo : t Putil.Cache.t = Putil.Cache.create ~capacity:1024 ~name:"frontier" ()
-
-let convex_memo ?(params = Machine.Socket.default_params) socket profile : t =
-  Putil.Cache.find_or_build memo
-    (memo_key ~params socket profile)
-    (fun () -> convex ~params socket profile)
 
 let min_power (f : t) = f.(0).Point.power
 let max_power (f : t) = f.(Array.length f - 1).Point.power

@@ -38,14 +38,10 @@ val memo_key :
   Machine.Socket.t ->
   Machine.Profile.t ->
   string
-(** The content key {!convex_memo} caches under: machine parameters,
-    socket efficiency (not id) and profile. *)
-
-val convex_memo :
-  ?params:Machine.Socket.params -> Machine.Socket.t -> Machine.Profile.t -> t
-(** {!convex} through the process-wide frontier cache: equal inputs
-    return one physically shared (immutable) hull array.  Falls back to
-    a fresh {!convex} when caching is disabled ({!Putil.Cache.enabled}). *)
+(** The content key of {!convex}'s inputs: machine parameters, socket
+    efficiency (not id) and profile.  {!Core.Scenario.make} shares one
+    (immutable) hull array among the tasks of a build whose keys are
+    equal. *)
 
 val min_power : t -> float
 val max_power : t -> float

@@ -74,8 +74,6 @@ let scenario ?(socket_seed = 7) ?(variability = 0.04) src =
       build_span ~stage:"stage:scenario" ~key (fun () ->
           Core.Scenario.make ~socket_seed ~variability (graph src)))
 
-let frontier = Pareto.Frontier.convex_memo
-
 let prepare_key ?(reduce_slack = true) ?(presolve = true)
     ?(objective = Core.Objective.Makespan_under_cap) sc ~power_cap =
   let h = Putil.Hashing.create () in

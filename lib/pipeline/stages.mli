@@ -15,8 +15,8 @@
     outputs are byte-identical either way.
 
     Frontier enumeration runs inside scenario assembly (see
-    {!Core.Scenario.make}) against the process-wide frontier cache; it
-    is also exposed directly as {!frontier}. *)
+    {!Core.Scenario.make}), which shares equal hulls within a build and
+    is cached whole; it has no cache of its own. *)
 
 type source =
   | Synthetic of Workloads.Apps.app * Workloads.Apps.params
@@ -51,13 +51,6 @@ val scenario : ?socket_seed:int -> ?variability:float -> source -> Core.Scenario
     convex frontiers ({!Core.Scenario.make}), cached under
     {!scenario_key}.  Repeated requests for an equal source and
     parameters return one physically shared scenario. *)
-
-val frontier :
-  ?params:Machine.Socket.params ->
-  Machine.Socket.t ->
-  Machine.Profile.t ->
-  Pareto.Frontier.t
-(** Frontier-enumeration stage ({!Pareto.Frontier.convex_memo}). *)
 
 val prepare_key :
   ?reduce_slack:bool ->

@@ -209,9 +209,10 @@ let check_all_shared () =
         rest
 
 let test_frontiers_physically_shared () =
-  (* holds through the global memo... *)
+  (* Scenario.make's per-build table shares them, whether the scenario
+     comes through the scenario cache... *)
   with_enabled true check_all_shared;
-  (* ...and through the per-build table when caching is off *)
+  (* ...or is built afresh with caching off *)
   with_enabled false check_all_shared
 
 (* The cache must be invisible in every output byte: a fresh sweep with

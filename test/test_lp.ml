@@ -114,6 +114,12 @@ let ft_update_roundtrip m density nupd seed =
   let lu = Lp.Lu.factor ~m col_iter in
   let wsp = Lp.Lu.Ft.make_wsp m in
   let ft = ref (Lp.Lu.Ft.of_factor wsp lu) in
+  let valid what =
+    match Lp.Lu.Ft.validate !ft with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: structure check: %s" what e
+  in
+  valid "fresh factorization";
   let x = Array.make m 0.0
   and x' = Array.make m 0.0
   and scratch = Array.make m 0.0 in
@@ -144,6 +150,7 @@ let ft_update_roundtrip m density nupd seed =
     if Float.abs x.(r) > 0.1 then
       if Lp.Lu.Ft.update !ft ~pos:r ~wr:x.(r) then begin
         incr done_upd;
+        valid (Printf.sprintf "after update %d" !done_upd);
         for i = 0 to m - 1 do
           a.(i).(r) <- col.(i)
         done;
@@ -214,6 +221,7 @@ let ft_update_roundtrip m density nupd seed =
           a.(i).(r) <- col.(i)
         done;
         ft := Lp.Lu.Ft.of_factor wsp (Lp.Lu.factor ~m col_iter);
+        valid "refactorization";
         incr done_upd
       end
   done;
@@ -224,6 +232,125 @@ let test_ft_small () = ft_update_roundtrip 6 0.5 8 11
 let test_ft_medium () = ft_update_roundtrip 40 0.15 25 23
 let test_ft_dense () = ft_update_roundtrip 18 0.8 12 5
 let test_ft_many () = ft_update_roundtrip 30 0.2 60 91
+
+(* --- entry checks -------------------------------------------------------
+   The simplex's inner loops index without bounds checks, so what a
+   caller hands in is checked where it enters, with a message naming the
+   entry point (a bounds-checked access deep in a loop would raise an
+   anonymous "index out of bounds" instead). *)
+let rejects ~prefix what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: raised %S, not from %s" what msg prefix
+
+(* min -x0 - x1 - x2 over three rows; a 3x3 matrix with 5 entries. *)
+let entry_model () =
+  let m = Lp.Model.create () in
+  let v =
+    Array.init 3 (fun j ->
+        Lp.Model.add_var m ~ub:4.0 ~obj:(-1.0) (Printf.sprintf "x%d" j))
+  in
+  Lp.Model.add_constr m [ (1.0, v.(0)); (1.0, v.(1)) ] Lp.Model.Le 5.0;
+  Lp.Model.add_constr m [ (1.0, v.(1)); (2.0, v.(2)) ] Lp.Model.Le 6.0;
+  Lp.Model.add_constr m [ (1.0, v.(2)) ] Lp.Model.Ge 1.0;
+  Lp.Model.compile m
+
+let test_revised_entry_checks () =
+  let p = entry_model () in
+  let r = Lp.Revised.solve p in
+  Alcotest.(check bool) "the model itself solves" true
+    (r.Lp.Revised.status = Lp.Revised.Optimal);
+  let solve_rejects what f = rejects ~prefix:"Revised.solve:" what f in
+  let v n x = Array.make n x in
+  List.iter
+    (fun (what, f) -> solve_rejects what f)
+    [
+      ("short rhs", fun () -> Lp.Revised.solve ~rhs:(v 2 5.0) p);
+      ("long rhs", fun () -> Lp.Revised.solve ~rhs:(v 4 5.0) p);
+      ("short lb", fun () -> Lp.Revised.solve ~lb:(v 2 0.0) p);
+      ("long lb", fun () -> Lp.Revised.solve ~lb:(v 4 0.0) p);
+      ("short ub", fun () -> Lp.Revised.solve ~ub:(v 2 4.0) p);
+      ("long ub", fun () -> Lp.Revised.solve ~ub:(v 4 4.0) p);
+    ];
+  let a = p.Lp.Model.a in
+  let rowind = Array.copy a.Lp.Sparse.Csc.rowind in
+  rowind.(Array.length rowind - 1) <- p.Lp.Model.nr;
+  solve_rejects "row index = nr" (fun () ->
+      Lp.Revised.solve { p with Lp.Model.a = { a with Lp.Sparse.Csc.rowind } });
+  let colptr = Array.copy a.Lp.Sparse.Csc.colptr in
+  Alcotest.(check (array int)) "column pointers" [| 0; 1; 3; 5 |] colptr;
+  (* still from 0 to nnz, but column 1 would end before it starts *)
+  colptr.(1) <- 4;
+  solve_rejects "decreasing colptr" (fun () ->
+      Lp.Revised.solve { p with Lp.Model.a = { a with Lp.Sparse.Csc.colptr } });
+  let other =
+    let m = Lp.Model.create () in
+    let x = Lp.Model.add_var m "x" in
+    Lp.Model.add_constr m [ (1.0, x) ] Lp.Model.Le 1.0;
+    Lp.Revised.make_analysis (Lp.Model.compile m)
+  in
+  solve_rejects "analysis of another shape" (fun () ->
+      Lp.Revised.solve ~analysis:other p);
+  match Lp.Presolve.reduce p with
+  | Lp.Presolve.Proven_infeasible -> Alcotest.fail "presolve: infeasible"
+  | Lp.Presolve.Reduced red ->
+      List.iter
+        (fun n ->
+          rejects ~prefix:"Presolve.solve_reduction:"
+            (Printf.sprintf "original-space rhs of length %d" n) (fun () ->
+              Lp.Presolve.solve_reduction ~rhs:(Array.make n 5.0) p red))
+        [ 2; 4 ]
+
+let test_ft_entry_checks () =
+  let m = 5 in
+  let rng = Random.State.make [| 3 |] in
+  let a = random_sparse_matrix rng m 0.4 in
+  let col_iter k f =
+    for i = 0 to m - 1 do
+      if a.(i).(k) <> 0.0 then f i a.(i).(k)
+    done
+  in
+  let lu = Lp.Lu.factor ~m col_iter in
+  rejects ~prefix:"Lu.Ft.of_factor:" "workspace of another dimension"
+    (fun () -> Lp.Lu.Ft.of_factor (Lp.Lu.Ft.make_wsp (m + 1)) lu);
+  let ft = Lp.Lu.Ft.of_factor (Lp.Lu.Ft.make_wsp m) lu in
+  let v n = Array.make n 1.0 in
+  let kernel what f = rejects ~prefix:"Lu.Ft." what f in
+  kernel "ftran_d short x" (fun () ->
+      Lp.Lu.Ft.ftran_d ft ~keep_spike:false ~b:(v m) ~x:(v (m - 1))
+        ~scratch:(v m));
+  kernel "ftran_d short scratch" (fun () ->
+      Lp.Lu.Ft.ftran_d ft ~keep_spike:false ~b:(v m) ~x:(v m)
+        ~scratch:(v (m - 1)));
+  kernel "btran_d short scratch" (fun () ->
+      Lp.Lu.Ft.btran_d ft ~c:(v m) ~y:(v m) ~scratch:(v (m - 1)));
+  kernel "btran_d short y" (fun () ->
+      Lp.Lu.Ft.btran_d ft ~c:(v m) ~y:(v (m - 1)) ~scratch:(v m));
+  let xind = Array.make m 0 in
+  kernel "ftran_sp short x" (fun () ->
+      Lp.Lu.Ft.ftran_sp ft ~keep_spike:false ~nb:1 ~bidx:[| 0 |] ~b:(v m)
+        ~x:(v (m - 1)) ~xind);
+  kernel "ftran_sp seed out of range" (fun () ->
+      Lp.Lu.Ft.ftran_sp ft ~keep_spike:false ~nb:1 ~bidx:[| m |] ~b:(v m)
+        ~x:(v m) ~xind);
+  kernel "ftran_sp repeated seed" (fun () ->
+      Lp.Lu.Ft.ftran_sp ft ~keep_spike:false ~nb:2 ~bidx:[| 1; 1 |] ~b:(v m)
+        ~x:(v m) ~xind);
+  kernel "ftran_sp more seeds than indices" (fun () ->
+      Lp.Lu.Ft.ftran_sp ft ~keep_spike:false ~nb:2 ~bidx:[| 1 |] ~b:(v m)
+        ~x:(v m) ~xind);
+  kernel "btran_sp short y" (fun () ->
+      Lp.Lu.Ft.btran_sp ft ~nc:1 ~cidx:[| 0 |] ~c:(v m) ~y:(v (m - 1))
+        ~yind:xind);
+  kernel "btran_sp negative seed" (fun () ->
+      Lp.Lu.Ft.btran_sp ft ~nc:1 ~cidx:[| -1 |] ~c:(v m) ~y:(v m) ~yind:xind);
+  kernel "update position out of range" (fun () ->
+      Lp.Lu.Ft.update ft ~pos:m ~wr:1.0);
+  match Lp.Lu.Ft.validate ft with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "refused calls left the structure broken: %s" e
 
 let test_lu_identity () =
   let m = 4 in
@@ -476,32 +603,39 @@ let random_model rng =
   done;
   Lp.Model.compile m
 
+(* Status agreement with the dense oracle; on optima, a feasible point
+   and the objective to 1e-4 relative. *)
+let agrees_with_dense p (rd : Lp.Dense_simplex.result)
+    (rr : Lp.Revised.result) =
+  match (rd.Lp.Dense_simplex.status, rr.Lp.Revised.status) with
+  | Lp.Dense_simplex.Optimal, Lp.Revised.Optimal ->
+      if not (Lp.Model.feasible ~tol:1e-5 p rr.Lp.Revised.x) then
+        QCheck.Test.fail_report "revised solution infeasible"
+      else if
+        Float.abs (rd.Lp.Dense_simplex.objective -. rr.Lp.Revised.objective)
+        > 1e-4 *. (1.0 +. Float.abs rd.Lp.Dense_simplex.objective)
+      then
+        QCheck.Test.fail_reportf "objectives differ: dense %g revised %g"
+          rd.Lp.Dense_simplex.objective rr.Lp.Revised.objective
+      else true
+  | Lp.Dense_simplex.Infeasible, Lp.Revised.Infeasible -> true
+  | Lp.Dense_simplex.Unbounded, Lp.Revised.Unbounded -> true
+  | sd, sr ->
+      QCheck.Test.fail_reportf "status mismatch: dense %s revised %s"
+        (match sd with
+        | Lp.Dense_simplex.Optimal -> "optimal"
+        | Lp.Dense_simplex.Infeasible -> "infeasible"
+        | Lp.Dense_simplex.Unbounded -> "unbounded")
+        (Fmt.str "%a" Lp.Revised.pp_status sr)
+
+(* [~check:true] re-checks the basic point and the factors' structure at
+   every pivot; it only observes. *)
 let prop_differential =
   QCheck.Test.make ~count:300 ~name:"dense and revised simplex agree"
     QCheck.(make (fun rng -> random_model rng))
     (fun p ->
-      let rd = Lp.Dense_simplex.solve p in
-      let rr = Lp.Revised.solve p in
-      match (rd.Lp.Dense_simplex.status, rr.Lp.Revised.status) with
-      | Lp.Dense_simplex.Optimal, Lp.Revised.Optimal ->
-          if not (Lp.Model.feasible ~tol:1e-5 p rr.Lp.Revised.x) then
-            QCheck.Test.fail_report "revised solution infeasible"
-          else if
-            Float.abs (rd.Lp.Dense_simplex.objective -. rr.Lp.Revised.objective)
-            > 1e-4 *. (1.0 +. Float.abs rd.Lp.Dense_simplex.objective)
-          then
-            QCheck.Test.fail_reportf "objectives differ: dense %g revised %g"
-              rd.Lp.Dense_simplex.objective rr.Lp.Revised.objective
-          else true
-      | Lp.Dense_simplex.Infeasible, Lp.Revised.Infeasible -> true
-      | Lp.Dense_simplex.Unbounded, Lp.Revised.Unbounded -> true
-      | sd, sr ->
-          QCheck.Test.fail_reportf "status mismatch: dense %s revised %s"
-            (match sd with
-            | Lp.Dense_simplex.Optimal -> "optimal"
-            | Lp.Dense_simplex.Infeasible -> "infeasible"
-            | Lp.Dense_simplex.Unbounded -> "unbounded")
-            (Fmt.str "%a" Lp.Revised.pp_status sr))
+      agrees_with_dense p (Lp.Dense_simplex.solve p)
+        (Lp.Revised.solve ~check:true p))
 
 (* Guaranteed-feasible, guaranteed-bounded random LPs: every variable is
    boxed, and each row is constructed to hold at a known witness point
@@ -1390,32 +1524,14 @@ let random_model_large rng =
   done;
   Lp.Model.compile m
 
+(* Presolved, and unpresolved under [~check:true]. *)
 let prop_differential_large =
   QCheck.Test.make ~count:60 ~name:"dense and revised agree on larger LPs"
     QCheck.(make (fun rng -> random_model_large rng))
     (fun p ->
       let rd = Lp.Dense_simplex.solve p in
-      let rr = Lp.Presolve.solve p in
-      match (rd.Lp.Dense_simplex.status, rr.Lp.Revised.status) with
-      | Lp.Dense_simplex.Optimal, Lp.Revised.Optimal ->
-          if not (Lp.Model.feasible ~tol:1e-5 p rr.Lp.Revised.x) then
-            QCheck.Test.fail_report "revised solution infeasible"
-          else if
-            Float.abs (rd.Lp.Dense_simplex.objective -. rr.Lp.Revised.objective)
-            > 1e-4 *. (1.0 +. Float.abs rd.Lp.Dense_simplex.objective)
-          then
-            QCheck.Test.fail_reportf "objectives differ: dense %g revised %g"
-              rd.Lp.Dense_simplex.objective rr.Lp.Revised.objective
-          else true
-      | Lp.Dense_simplex.Infeasible, Lp.Revised.Infeasible -> true
-      | Lp.Dense_simplex.Unbounded, Lp.Revised.Unbounded -> true
-      | sd, sr ->
-          QCheck.Test.fail_reportf "status mismatch: dense %s revised %s"
-            (match sd with
-            | Lp.Dense_simplex.Optimal -> "optimal"
-            | Lp.Dense_simplex.Infeasible -> "infeasible"
-            | Lp.Dense_simplex.Unbounded -> "unbounded")
-            (Fmt.str "%a" Lp.Revised.pp_status sr))
+      agrees_with_dense p rd (Lp.Presolve.solve p)
+      && agrees_with_dense p rd (Lp.Revised.solve ~check:true p))
 
 (* Production-size random LPs: more than 160 rows and 512 columns, so
    the partial-pricing window ([max 512 (total/8)] of the columns), the
@@ -2082,6 +2198,8 @@ let suite =
         Alcotest.test_case "ft updates medium" `Quick test_ft_medium;
         Alcotest.test_case "ft updates dense" `Quick test_ft_dense;
         Alcotest.test_case "ft updates long sequence" `Quick test_ft_many;
+        Alcotest.test_case "ft kernels check their arguments" `Quick
+          test_ft_entry_checks;
       ] );
     ( "lp.model",
       [ Alcotest.test_case "compile and feasible" `Quick test_model_compile ] );
@@ -2098,6 +2216,7 @@ let suite =
         Alcotest.test_case "degenerate" `Quick test_degenerate;
         Alcotest.test_case "beale cycling" `Quick test_beale_cycling_example;
         Alcotest.test_case "large chain" `Quick test_revised_chain_large;
+        Alcotest.test_case "entry checks" `Quick test_revised_entry_checks;
         QCheck_alcotest.to_alcotest prop_differential;
         QCheck_alcotest.to_alcotest prop_differential_feasible;
         QCheck_alcotest.to_alcotest prop_differential_large;
