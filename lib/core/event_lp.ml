@@ -344,22 +344,45 @@ let outcome_of ~mode ~objective (sc : Scenario.t)
    presolve reduction and patches the power-row RHS through it — only
    sound when every power row survived the reduction, so a cap change
    cannot invalidate any reduction decision.  [`Each] falls back to a
-   fresh presolve per cap (reduction touched a power row); [`Full] skips
-   presolve entirely. *)
+   fresh presolve per cap (reduction touched a power row, or the energy
+   mode's deadline row); it keeps the prepared RHS's own reduction
+   ([None] when presolve proved that RHS infeasible), which a solve at
+   that RHS reuses.  [`Full] skips presolve entirely. *)
 type resolution =
-  [ `Reduced of Lp.Presolve.reduction | `Each | `Full ]
+  [ `Reduced of Lp.Presolve.reduction
+  | `Each of Lp.Presolve.reduction option
+  | `Full ]
 
 type prepared = {
   psc : Scenario.t;
   pbuilt : built;
   resolution : resolution;
-  panalysis : Lp.Revised.analysis option;
+  mutable panalysis : Lp.Revised.analysis option;
       (* symbolic analysis of the matrix the per-cap re-solves actually
          hand to the simplex (the reduction's problem under [`Reduced],
          the full problem under [`Full]); cap changes touch only the RHS,
-         so it is computed once here and reused for every cap.  [`Each]
-         re-presolves per cap, so there is nothing stable to analyze. *)
+         so it is computed once and reused for every cap.  [`Each]
+         re-presolves per cap, so there is nothing stable to analyze.
+         Filled on first read ({!analysis}): [prepare] reads it at once,
+         an edited handle only if it is solved again.  Domains racing to
+         fill it compute equal values, and either may be kept. *)
 }
+
+let analysis (pz : prepared) =
+  match pz.resolution with
+  | `Each _ -> None
+  | (`Reduced _ | `Full) as r -> (
+      match pz.panalysis with
+      | Some _ as a -> a
+      | None ->
+          let p =
+            match r with
+            | `Reduced red -> red.Lp.Presolve.problem
+            | `Full -> pz.pbuilt.problem
+          in
+          let a = Some (Lp.Revised.make_analysis p) in
+          pz.panalysis <- a;
+          a)
 
 let prepare ?(reduce_slack = true) ?(presolve = true) ?init ?objective
     (sc : Scenario.t) ~power_cap : prepared =
@@ -368,7 +391,7 @@ let prepare ?(reduce_slack = true) ?(presolve = true) ?init ?objective
     if not presolve then `Full
     else
       match Lp.Presolve.reduce b.problem with
-      | Lp.Presolve.Proven_infeasible -> `Each
+      | Lp.Presolve.Proven_infeasible -> `Each None
       | Lp.Presolve.Reduced red ->
           let kept = Array.make b.problem.Lp.Model.nr false in
           Array.iter
@@ -383,16 +406,11 @@ let prepare ?(reduce_slack = true) ?(presolve = true) ?init ?objective
                | None -> true
                | Some row -> kept.(row))
           then `Reduced red
-          else `Each
+          else `Each (Some red)
   in
-  let panalysis =
-    match resolution with
-    | `Reduced red ->
-        Some (Lp.Revised.make_analysis red.Lp.Presolve.problem)
-    | `Full -> Some (Lp.Revised.make_analysis b.problem)
-    | `Each -> None
-  in
-  { psc = sc; pbuilt = b; resolution; panalysis }
+  let pz = { psc = sc; pbuilt = b; resolution; panalysis = None } in
+  ignore (analysis pz);
+  pz
 
 (* The shared re-solve engine: run the prepared model under an optional
    original-space RHS override, reporting the outcome under [objective]. *)
@@ -405,8 +423,15 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
     match pz.resolution with
     | `Reduced red ->
         Lp.Presolve.solve_reduction ~max_iter ?rhs ?warm
-          ?analysis:pz.panalysis ~bands p red
-    | `Each ->
+          ?analysis:(analysis pz) ~bands p red
+    | `Each (Some red) when Option.is_none rhs ->
+        (* the prepared RHS: [Presolve.solve] would reduce [p] to [red]
+           again, and solve it just so *)
+        {
+          (Lp.Presolve.solve_reduction ~max_iter p red) with
+          Lp.Revised.basis = None;
+        }
+    | `Each _ ->
         let pp =
           match rhs with
           | None -> p
@@ -414,7 +439,7 @@ let run_prepared ~mode ~max_iter ~objective ?warm (pz : prepared) rhs :
         in
         { (Lp.Presolve.solve ~max_iter pp) with Lp.Revised.basis = None }
     | `Full ->
-        Lp.Revised.solve ~max_iter ?rhs ?warm ?analysis:pz.panalysis ~bands p
+        Lp.Revised.solve ~max_iter ?rhs ?warm ?analysis:(analysis pz) ~bands p
   in
   (outcome_of ~mode ~objective pz.psc b r, r.Lp.Revised.basis)
 
@@ -602,16 +627,13 @@ let edit_prepared ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
   let sc' = edit_scenario pz.psc des in
   let edits = compile_checked pz.psc b des in
   (* a reduced-space basis does not live in the full problem's space *)
-  let warm = match pz.resolution with `Full -> warm | `Reduced _ | `Each -> None in
+  let warm =
+    match pz.resolution with `Full -> warm | `Reduced _ | `Each _ -> None
+  in
   let p', r = Lp.Edit.resolve ~max_iter ?warm b.problem edits in
   let built' = { b with problem = p' } in
   let pz' =
-    {
-      psc = sc';
-      pbuilt = built';
-      resolution = `Full;
-      panalysis = Some (Lp.Revised.make_analysis p');
-    }
+    { psc = sc'; pbuilt = built'; resolution = `Full; panalysis = None }
   in
   (outcome_of ~mode ~objective:b.objective sc' built' r, pz', r.Lp.Revised.basis)
 
@@ -677,7 +699,7 @@ let switch_objective ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
       let edits = Lp.Edit.set_objective p target_obj @ row_edits in
       (* a reduced-space basis cannot be mapped across full-space edits *)
       let warm =
-        match pz.resolution with `Full -> warm | `Reduced _ | `Each -> None
+        match pz.resolution with `Full -> warm | `Reduced _ | `Each _ -> None
       in
       let p', r = Lp.Edit.resolve ~max_iter ?warm p edits in
       Lp.Stats.note_mode_switch ();
@@ -703,12 +725,7 @@ let switch_objective ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
         }
       in
       let pz' =
-        {
-          pz with
-          pbuilt = built';
-          resolution = `Full;
-          panalysis = Some (Lp.Revised.make_analysis p');
-        }
+        { pz with pbuilt = built'; resolution = `Full; panalysis = None }
       in
       (outcome_of ~mode ~objective pz.psc built' r, pz', r.Lp.Revised.basis)
 

@@ -7,7 +7,10 @@
       edit through a COO round trip of the matrix.  A rebuild per edit
       is not negligible: on CoMD 16x10 the 230 edits of a structural
       rank drop spent 166-186 ms rebuilding (2-vCPU host), over three
-      times a cold solve of the edited LP (52 ms).
+      times a cold solve of the edited LP (52 ms).  A run whose
+      [Set_entry] edits all rewrite existing entries with nonzero
+      coefficients rebuilds nothing: it copies the values, writes the
+      new coefficients in place and shares the structure.
 
     - The basis mapping treats every structural change as a bordered
       update of the factorized basis B (see {!Lu}):
@@ -112,7 +115,7 @@ let append a v =
 (* [a] with the coefficients of [entries] ((row, col) -> coef; 0 deletes)
    overwritten in one pass: untouched columns are copied, touched ones
    merged in row order, exactly the matrix the COO round trip builds. *)
-let set_entries (a : Sparse.Csc.t) entries =
+let merge_entries (a : Sparse.Csc.t) entries =
   let touched = Array.make a.ncols [] in
   Hashtbl.iter (fun (i, j) v -> touched.(j) <- (i, v) :: touched.(j)) entries;
   let cap = Sparse.Csc.nnz a + Hashtbl.length entries in
@@ -141,6 +144,46 @@ let set_entries (a : Sparse.Csc.t) entries =
   done;
   colptr.(a.ncols) <- !w;
   { a with colptr; rowind = Array.sub rowind 0 !w; values = Array.sub values 0 !w }
+
+let has_zero (v : float array) =
+  let rec go k = k < Array.length v && (v.(k) = 0.0 || go (k + 1)) in
+  go 0
+
+(* Where each edit of [entries] lands in [a.values], when every one
+   rewrites an existing entry with a nonzero coefficient and [a] stores
+   no explicit zero; [None] otherwise.  Writing the values there then
+   builds the merge's matrix bit for bit: the merge would drop only
+   zeros.  [Csc.t] is a public record that any code may build, so the
+   zeros are looked for, with one scan, rather than assumed absent. *)
+let patch_sites (a : Sparse.Csc.t) entries =
+  let find i j =
+    let rec go k =
+      if k >= a.colptr.(j + 1) then None
+      else if a.rowind.(k) = i then Some k
+      else go (k + 1)
+    in
+    go a.colptr.(j)
+  in
+  let sites =
+    Hashtbl.fold
+      (fun (i, j) v acc ->
+        match acc with
+        | Some l when v <> 0.0 -> Option.map (fun k -> (k, v) :: l) (find i j)
+        | _ -> None)
+      entries (Some [])
+  in
+  match sites with Some _ when not (has_zero a.values) -> sites | _ -> None
+
+(* [a] with the coefficients of [entries] overwritten.  Edits that only
+   rewrite nonzero entries copy the values and share [colptr] and
+   [rowind] with [a]; any other run takes the merge. *)
+let set_entries (a : Sparse.Csc.t) entries =
+  match patch_sites a entries with
+  | Some sites ->
+      let values = Array.copy a.values in
+      List.iter (fun (k, v) -> values.(k) <- v) sites;
+      { a with values }
+  | None -> merge_entries a entries
 
 (* Apply a run of value edits: each array the run touches is copied
    once, and the matrix is rebuilt at most once. *)

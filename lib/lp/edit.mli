@@ -50,7 +50,11 @@ val apply : Model.problem -> t list -> Model.problem
 (** Apply the edits in order and return the edited problem.  Each run of
     consecutive value edits ([Set_bounds], [Set_obj], [Set_rhs],
     [Set_entry]) is applied in one pass, with at most one rebuild of the
-    matrix; each structural edit rebuilds it.  Raises
+    matrix; each structural edit rebuilds it.  A run whose [Set_entry]
+    edits all overwrite stored entries with nonzero coefficients (on a
+    matrix that stores no explicit zero) rebuilds nothing: the result
+    shares [colptr] and [rowind] with the input and carries a patched
+    copy of [values], bit for bit the matrix a rebuild gives.  Raises
     [Invalid_argument] on an out-of-range index, [lb > ub], or a
     non-finite coefficient/RHS. *)
 

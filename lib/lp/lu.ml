@@ -15,17 +15,13 @@
     repairs its basis. *)
 
 (** Symbolic data for the Forrest–Tomlin kernels, built lazily: the
-    inverse column pre-ordering, and the structure-only transpose of [L]
-    ([lsucc] lists, for each pivot position [i], the columns [k] with
-    [i ∈ lrows.(k)]).  The gather-form transpose solve needs it to know
-    which positions a nonzero {e reaches}; the numeric gathers
-    themselves still read the original column storage, so sparse and
-    dense solves perform identical floating-point operations. *)
-type tsym = {
-  cpos : int array;  (** inverse of [cperm] *)
-  lsucc_ptr : int array;
-  lsucc_ind : int array;
-}
+    structure-only transpose of [L] ([lsucc] lists, for each pivot
+    position [i], the columns [k] with [i ∈ lrows.(k)]).  The
+    gather-form transpose solve needs it to know which positions a
+    nonzero {e reaches}; the numeric gathers themselves still read the
+    original column storage, so sparse and dense solves perform
+    identical floating-point operations. *)
+type tsym = { lsucc_ptr : int array; lsucc_ind : int array }
 
 type t = {
   m : int;
@@ -404,15 +400,11 @@ let solve_t t ~(c : float array) ~(y : float array) ~(scratch : float array) =
 (* Hypersparse kernel support (Gilbert–Peierls reachability)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Invert the column pre-ordering and build the structure-only transpose
-   of [L]: [lsucc.(i)] = columns [k] with [i ∈ lrows.(k)], i.e. the
-   positions a nonzero at [i] reaches in the L^T backward solve. *)
+(* The structure-only transpose of [L]: [lsucc.(i)] = columns [k] with
+   [i ∈ lrows.(k)], i.e. the positions a nonzero at [i] reaches in the
+   L^T backward solve.  Only the sparse BTRAN reads it. *)
 let build_tsym t =
   let m = t.m in
-  let cpos = Array.make m 0 in
-  for k = 0 to m - 1 do
-    cpos.(t.cperm.(k)) <- k
-  done;
   let transpose (cols : int array array) =
     let ptr = Array.make (m + 1) 0 in
     for k = 0 to m - 1 do
@@ -437,7 +429,7 @@ let build_tsym t =
     (ptr, ind)
   in
   let lsucc_ptr, lsucc_ind = transpose t.lrows in
-  { cpos; lsucc_ptr; lsucc_ind }
+  { lsucc_ptr; lsucc_ind }
 
 let tsym t =
   match t.tsym with
@@ -837,30 +829,49 @@ module Ft = struct
            "Lu.Ft.of_factor: workspace of dimension %d for a factorization of \
             dimension %d"
            (Array.length w.okey) m);
-    let cpos = (tsym base).cpos in
+    (* Invert [cperm]; an entry out of range leaves a [-1] that
+       [check_base] reports. *)
+    let cpos = Array.make m (-1) in
+    Array.iteri (fun k c -> if c >= 0 && c < m then cpos.(c) <- k) base.cperm;
     (try check_base base cpos
      with Broken s -> invalid_arg ("Lu.Ft.of_factor: " ^ s));
     let ucol_n = Array.make m 0
     and ucol_i = Array.make m [||]
     and ucol_v = Array.make m [||] in
-    let urow_n = Array.make m 0
-    and urow_j = Array.make m [||]
-    and urow_v = Array.make m [||] in
+    (* [urow_n] counts each row's entries first, so every row is
+       allocated once at its size *)
+    let urow_n = Array.make m 0 in
     let unnz = ref m and lnnz = ref 0 in
     for k = 0 to m - 1 do
-      let n = Array.length base.urows.(k) in
+      let rs = base.urows.(k) in
+      let n = Array.length rs in
       ucol_n.(k) <- n;
-      ucol_i.(k) <- Array.copy base.urows.(k);
+      ucol_i.(k) <- Array.copy rs;
       ucol_v.(k) <- Array.copy base.uvals.(k);
+      for e = 0 to n - 1 do
+        urow_n.(rs.(e)) <- urow_n.(rs.(e)) + 1
+      done;
       unnz := !unnz + n;
       lnnz := !lnnz + Array.length base.lrows.(k)
     done;
+    let urow_j = Array.make m [||] and urow_v = Array.make m [||] in
+    for r = 0 to m - 1 do
+      let n = urow_n.(r) in
+      if n > 0 then begin
+        urow_j.(r) <- Array.make n 0;
+        urow_v.(r) <- Array.make n 0.0
+      end
+    done;
     (* row-wise copy: columns visited ascending, so each row starts
        sorted by column slot *)
+    let fill = Array.make m 0 in
     for k = 0 to m - 1 do
       let rs = base.urows.(k) and vs = base.uvals.(k) in
       for e = 0 to Array.length rs - 1 do
-        push_entry urow_n urow_j urow_v rs.(e) k vs.(e)
+        let r = rs.(e) in
+        urow_j.(r).(fill.(r)) <- k;
+        urow_v.(r).(fill.(r)) <- vs.(e);
+        fill.(r) <- fill.(r) + 1
       done
     done;
     for k = 0 to m - 1 do

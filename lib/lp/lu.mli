@@ -9,13 +9,13 @@
     from [replaced]. *)
 
 type tsym = {
-  cpos : int array;  (** inverse of [cperm] *)
   lsucc_ptr : int array;
   lsucc_ind : int array;
       (** structure-only transpose of [lrows]: successors of each pivot
           position in the L^T backward solve *)
 }
-(** Symbolic data built lazily for the {!Ft} kernels. *)
+(** Symbolic data built lazily, on the first sparse BTRAN of the {!Ft}
+    kernels. *)
 
 type t = {
   m : int;

@@ -523,10 +523,15 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           end
         done
       in
+      (* [x_fresh]: [x_basic] is what [recompute_x_basic] would write
+         from the factors in hand — no pivot and no bound flip has moved
+         it since the last recompute. *)
+      let x_fresh = ref false in
       let recompute_x_basic () =
         let t0 = Unix.gettimeofday () in
         nonbasic_rhs ();
         Lu.Ft.ftran_d !ft ~keep_spike:false ~b:bwork ~x:x_basic ~scratch;
+        x_fresh := true;
         lap tm l_ftran t0
       in
       let refactorize () =
@@ -617,14 +622,36 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let cost = Array.make cap 0.0 in
       let cb = Array.make m 0.0 in
       let y = Array.make m 0.0 in
-      (* The simplex multipliers: y = B^-T c_B. *)
+      (* What [y] was solved from: the factorization object, its update
+         count and the bits of c_B.  [cb] itself doubles as the unit
+         BTRAN's dense right-hand side, so c_B is kept apart. *)
+      let y_ft = ref None and y_nupd = ref 0 in
+      let y_cb = Array.make m 0.0 in
+      (* The simplex multipliers: y = B^-T c_B, solved again only when
+         the factors or c_B changed since the last solve. *)
       let duals () =
         let t0 = Unix.gettimeofday () in
         for k = 0 to m - 1 do
           cb.(k) <- cost.(basis.(k))
         done;
-        Lu.Ft.btran_d !ft ~c:cb ~y ~scratch;
-        incr c_btran_dn;
+        let current =
+          match !y_ft with
+          | Some u when u == !ft && Lu.Ft.nupdates u = !y_nupd ->
+              let same = ref true in
+              for k = 0 to m - 1 do
+                if Int64.bits_of_float cb.(k) <> Int64.bits_of_float y_cb.(k)
+                then same := false
+              done;
+              !same
+          | _ -> false
+        in
+        if not current then begin
+          Array.blit cb 0 y_cb 0 m;
+          Lu.Ft.btran_d !ft ~c:cb ~y ~scratch;
+          y_ft := Some !ft;
+          y_nupd := Lu.Ft.nupdates !ft;
+          incr c_btran_dn
+        end;
         lap tm l_btran t0
       in
       (* Unit-RHS BTRAN: rho = row r of B^-1, the dual simplex's
@@ -818,6 +845,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 let k = if !w_n < 0 then ti else w_ind.!(ti) in
                 x_basic.!(k) <- x_basic.!(k) -. (s *. t_flip *. w.!(k))
               done;
+              x_fresh := false;
               nb_at.(je) <- (if nb_at.(je) = 'l' then 'u' else 'l');
               lap tm l_ratio t0;
               check_invariants ();
@@ -835,6 +863,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 let k = if !w_n < 0 then ti else w_ind.!(ti) in
                 x_basic.!(k) <- x_basic.!(k) -. (s *. t *. w.!(k))
               done;
+              x_fresh := false;
               let entering_val = nb_value nb_at lo hi je +. (s *. t) in
               let leaving = basis.(r) in
               where.(leaving) <- -1;
@@ -1087,6 +1116,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                     let k = if !w_n < 0 then ti else w_ind.(ti) in
                     x_basic.(k) <- x_basic.(k) -. w.(k)
                   done;
+                  x_fresh := false;
                   lap tm l_ratio t1
                 end;
                 ftran je;
@@ -1109,6 +1139,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                     let k = if !w_n < 0 then ti else w_ind.(ti) in
                     x_basic.(k) <- x_basic.(k) -. (t *. w.(k))
                   done;
+                  x_fresh := false;
                   (* dual step: d_j -= theta * alpha_j, nonzero only on
                      the gathered columns; the leaving column's alpha is
                      exactly 1 (it is row r's basic), so its new
@@ -1193,23 +1224,32 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             Stats.note_diag Stats.Repair_fallback;
             raise Warm_fallback
           in
+          let flipped = ref false in
           for j = 0 to nv + m - 1 do
             if where.(j) < 0 && lo.(j) < hi.(j) then begin
               let d = cost.(j) -. col_dot cols j y in
               let tol = opt_tol *. (1.0 +. Float.abs cost.(j)) in
               match nb_at.(j) with
               | 'l' when d < -.tol ->
-                  if Float.is_finite hi.(j) then nb_at.(j) <- 'u'
+                  if Float.is_finite hi.(j) then begin
+                    nb_at.(j) <- 'u';
+                    flipped := true
+                  end
                   else irreparable ()
               | 'u' when d > tol ->
-                  if Float.is_finite lo.(j) then nb_at.(j) <- 'l'
+                  if Float.is_finite lo.(j) then begin
+                    nb_at.(j) <- 'l';
+                    flipped := true
+                  end
                   else irreparable ()
               | 'f' when Float.abs d > tol -> irreparable ()
               | _ -> ()
             end
           done;
           lap tm l_price t0;
-          recompute_x_basic ();
+          (* The basic point was computed from these factors when the
+             basis was installed; only a flipped status moves it. *)
+          if !flipped then recompute_x_basic ();
           let primal_viol () =
             let v = ref 0.0 in
             for k = 0 to m - 1 do
@@ -1272,8 +1312,19 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          same basis as a cold solve has to agree to the last bit.  Sort
          the basis into canonical (column-index) order, drop the update
          file by refactorizing, and recompute the primal point from the
-         fresh factors. *)
-      if !status = Optimal then begin
+         fresh factors.  When the basis is already in that order, the
+         factors carry no update and [x_basic] was computed from them,
+         the refactorization would rebuild the factors in hand ({!Lu.factor}
+         is a function of the basis columns in order and their bands) and
+         the recompute would write the same point, so both are skipped. *)
+      let canonical () =
+        let sorted = ref true in
+        for k = 1 to m - 1 do
+          if basis.(k - 1) > basis.(k) then sorted := false
+        done;
+        !sorted && Lu.Ft.nupdates !ft = 0 && !x_fresh
+      in
+      if !status = Optimal && not (canonical ()) then begin
         Array.sort Int.compare basis;
         for k = 0 to m - 1 do
           where.(basis.(k)) <- k

@@ -2170,6 +2170,120 @@ let prop_edit_maps_names =
         rmap;
       !ok)
 
+(* Value edits of the matrix: a run of [Set_entry] edits must build,
+   bit for bit, the matrix that the edited entry set gives when frozen
+   through [Csc.of_coo] — whether the run only rewrites stored entries
+   (patched in place, structure shared) or adds, deletes or zeroes some
+   (merged). *)
+let entry_case_arbitrary =
+  let gen rng =
+    let open QCheck.Gen in
+    let nr = 1 + int_bound 7 rng and nv = 1 + int_bound 7 rng in
+    (* a small value set makes duplicate coordinates cancel now and then,
+       which [of_coo] drops *)
+    let value rng =
+      if bool rng then oneofl [ -2.0; -1.0; -0.5; 0.5; 1.0; 2.0 ] rng
+      else float_range (-4.0) 4.0 rng
+    in
+    let coo = Lp.Sparse.Coo.create () in
+    for _ = 1 to int_bound (2 * nr * nv) rng do
+      Lp.Sparse.Coo.add coo (int_bound (nr - 1) rng) (int_bound (nv - 1) rng)
+        (value rng)
+    done;
+    let a = Lp.Sparse.Csc.of_coo ~nrows:nr ~ncols:nv coo in
+    let stored = ref [] in
+    for j = 0 to nv - 1 do
+      Lp.Sparse.Csc.iter_col a j (fun i _ -> stored := (i, j) :: !stored)
+    done;
+    let stored = Array.of_list !stored in
+    let nonzero rng =
+      let v = 0.25 +. float_bound_inclusive 3.0 rng in
+      if bool rng then v else -.v
+    in
+    let rewrite rng =
+      let i, j = stored.(int_bound (Array.length stored - 1) rng) in
+      (i, j, nonzero rng)
+    in
+    let anywhere rng = (int_bound (nr - 1) rng, int_bound (nv - 1) rng) in
+    let any rng =
+      match int_bound 3 rng with
+      | 0 when Array.length stored > 0 -> rewrite rng
+      | 1 when Array.length stored > 0 ->
+          let i, j = stored.(int_bound (Array.length stored - 1) rng) in
+          (i, j, 0.0)
+      | 2 ->
+          let i, j = anywhere rng in
+          (i, j, -0.0)
+      | _ ->
+          let i, j = anywhere rng in
+          (i, j, nonzero rng)
+    in
+    let n = 1 + int_bound 5 rng in
+    let rewrites_only = Array.length stored > 0 && bool rng in
+    let edits =
+      List.init n (fun _ -> if rewrites_only then rewrite rng else any rng)
+    in
+    (a, rewrites_only, edits)
+  in
+  let print (a, _, edits) =
+    Fmt.str "%dx%d, entries [%a]; edits [%a]" a.Lp.Sparse.Csc.nrows
+      a.Lp.Sparse.Csc.ncols
+      Fmt.(list ~sep:semi (fun ppf (i, v) -> pf ppf "%d:%h" i v))
+      (Array.to_list
+         (Array.map2 (fun i v -> (i, v)) a.Lp.Sparse.Csc.rowind
+            a.Lp.Sparse.Csc.values))
+      Fmt.(list ~sep:semi (fun ppf (i, j, v) -> pf ppf "(%d,%d)=%h" i j v))
+      edits
+  in
+  QCheck.make ~print gen
+
+let prop_set_entries_as_rebuilt =
+  QCheck.Test.make ~count:500
+    ~name:"set-entry runs build the rebuilt matrix bit for bit"
+    entry_case_arbitrary
+    (fun (a, rewrites_only, edits) ->
+      let nr = a.Lp.Sparse.Csc.nrows and nv = a.Lp.Sparse.Csc.ncols in
+      let p =
+        {
+          Lp.Model.nv;
+          nr;
+          a;
+          lb = Array.make nv 0.0;
+          ub = Array.make nv Float.infinity;
+          obj = Array.make nv 0.0;
+          row_sense = Array.make nr Lp.Model.Le;
+          row_rhs = Array.make nr 0.0;
+          integer = Array.make nv false;
+          var_names = Array.init nv (Printf.sprintf "x%d");
+          row_names = Array.init nr (Printf.sprintf "r%d");
+        }
+      in
+      let got =
+        (Lp.Edit.apply p
+           (List.map
+              (fun (row, col, coef) -> Lp.Edit.Set_entry { row; col; coef })
+              edits))
+          .Lp.Model.a
+      in
+      let entries = Hashtbl.create 16 in
+      for j = 0 to nv - 1 do
+        Lp.Sparse.Csc.iter_col a j (fun i v -> Hashtbl.replace entries (i, j) v)
+      done;
+      List.iter (fun (i, j, v) -> Hashtbl.replace entries (i, j) v) edits;
+      let coo = Lp.Sparse.Coo.create () in
+      Hashtbl.iter (fun (i, j) v -> Lp.Sparse.Coo.add coo i j v) entries;
+      let want = Lp.Sparse.Csc.of_coo ~nrows:nr ~ncols:nv coo in
+      let bits v = Array.map Int64.bits_of_float v in
+      if got.Lp.Sparse.Csc.colptr <> want.Lp.Sparse.Csc.colptr then
+        QCheck.Test.fail_report "colptr differs"
+      else if got.Lp.Sparse.Csc.rowind <> want.Lp.Sparse.Csc.rowind then
+        QCheck.Test.fail_report "rowind differs"
+      else if bits got.Lp.Sparse.Csc.values <> bits want.Lp.Sparse.Csc.values
+      then QCheck.Test.fail_report "values differ"
+      else if rewrites_only && got.Lp.Sparse.Csc.rowind != a.Lp.Sparse.Csc.rowind
+      then QCheck.Test.fail_report "a rewrite-only run rebuilt the structure"
+      else true)
+
 let suite =
   [
     ( "lp.sparse",
@@ -2279,5 +2393,6 @@ let suite =
           test_edit_warm_bit_identical;
         QCheck_alcotest.to_alcotest prop_edit_oracle;
         QCheck_alcotest.to_alcotest prop_edit_maps_names;
+        QCheck_alcotest.to_alcotest prop_set_entries_as_rebuilt;
       ] );
   ]
