@@ -641,9 +641,12 @@ let edit_prepared ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
    language so the previous mode's optimal basis warm-starts the new
    mode's solve: the objective swap is a [Set_obj] list and the deadline
    row is added/removed as a structural edit, whose basis mapping
-   {!Lp.Edit.resolve} already knows how to carry (the makespan optimum
+   {!Lp.Edit.resolve} already knows how to carry.  The makespan optimum
    is primal feasible for the energy LP whenever its own makespan meets
-   the deadline, so the dual repair is usually a handful of pivots). *)
+   the deadline, but on every instance probed the warm attempt's dual
+   repair meets a wrong-signed reduced cost on a column with no opposite
+   bound, and the solve falls back cold: to the energy LP's dual-feasible
+   slack basis, where it runs the dual simplex with no phase 1. *)
 let switch_objective ?(mode = Continuous) ?(max_iter = 0) ?warm (pz : prepared)
     (objective : Objective.mode) :
     outcome * prepared * Lp.Revised.basis option =

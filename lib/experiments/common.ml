@@ -288,11 +288,14 @@ let energy_point_of_outcome (s : setup) ~deadline ~multiplier ~job_cap
    vertex-time column, so {e each} deadline point is as degenerate as an
    unconstraining cap in [run_sweep] — a warm start may land on any
    alternate optimal vertex, and the replayed schedule would depend on
-   the warm history.  Cold points are canonical, so sweep output is
-   byte-identical under any POWERLIM_WARM / POWERLIM_JOBS setting.  The
-   warm deadline-threading fast path ({!Core.Event_lp.solve_prepared_deadline}
-   with a basis) is exercised — and its objectives gated against the
-   cold ones at 1e-9 — by the [energybench] harness instead. *)
+   the warm history.  A cold energy solve starts from the LP's
+   dual-feasible slack basis with no phase 1 ({!Lp.Revised}), a start
+   fixed by the LP alone, so cold points are canonical and sweep output
+   is byte-identical under any POWERLIM_WARM / POWERLIM_JOBS setting.
+   The warm deadline-threading fast path
+   ({!Core.Event_lp.solve_prepared_deadline} with a basis) is exercised
+   — and its objectives gated against the cold ones at 1e-9 — by the
+   [energybench] harness instead. *)
 let run_deadline_sweep ?(multipliers = default_multipliers) (s : setup) ~cap :
     energy_sweep =
   let job_cap = cap *. Float.of_int s.config.nranks in

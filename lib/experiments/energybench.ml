@@ -1,6 +1,7 @@
 (** Energy-mode benchmark: the deadline sweep solved two ways —
 
-    - {b cold}: a full build + presolve + phase-1/2 per deadline;
+    - {b cold}: a full build + presolve + a cold solve per deadline,
+      which starts at the energy LP's dual-feasible slack basis;
     - {b switch}: the makespan handle re-targeted at the energy
       objective ({!Core.Event_lp.switch_objective}), then each
       deadline's basis threaded into the next.  The switch offers the
@@ -73,7 +74,8 @@ let cold_side (s : Common.setup) ~job_cap deadlines : side =
 (* The cross-mode path: solve the makespan LP (full space, so the basis
    is mappable), switch the handle to the energy objective offering that
    basis across the edit (it has so far always fallen back to a cold
-   energy solve), then thread deadlines. *)
+   energy solve, which starts at the slack basis), then thread
+   deadlines. *)
 let switch_side (s : Common.setup) ~job_cap deadlines : side =
   Lp.Stats.reset ();
   let d0 = List.hd deadlines in

@@ -2,9 +2,13 @@
 
     Standard computational form: every row gets a slack variable
     ([a.x + s = b] with slack bounds encoding the row sense), so the
-    constraint matrix is [[A | I]].  When the all-slack starting point is
-    out of bounds, artificial variables restore feasibility and a phase-1
-    objective (minimize the sum of artificials) is solved first.
+    constraint matrix is [[A | I]].  A cold solve starts from the
+    all-slack basis.  When that basis is dual feasible as it stands and
+    the objective prices most structural columns ([slack_start_fits]),
+    the dual simplex loop below runs from it directly.  Otherwise, where
+    the all-slack point is out of bounds, artificial variables restore
+    feasibility and a phase-1 objective (minimize the sum of
+    artificials) is solved before phase 2.
 
     The basis is factorized with {!Lu} and updated between
     refactorizations with Forrest–Tomlin row etas ({!Lu.Ft}); FTRAN and
@@ -12,7 +16,8 @@
     adaptive fallback to the dense ones.  Pricing is Dantzig's rule over a
     rotating partial-pricing window, with an automatic switch to Bland's
     rule after a run of degenerate pivots; the ratio test is a two-pass
-    Harris test.  Every LP, whatever its size, takes this one path.
+    Harris test.  Every LP, whatever its size, runs these kernels; only
+    the starting basis depends on the LP.
 
     Warm starts: [solve] returns the final basis (basic set + nonbasic
     statuses) and accepts it back via [?warm] on a later call whose
@@ -21,8 +26,9 @@
     with a {e dual simplex} loop (largest-violation row choice, dual
     ratio test with bound flips).  Any irreparable situation — basis
     singular beyond {!Lu} repair, dual-infeasible nonbasic that cannot be
-    flipped — falls back to the cold primal phase-1/2 path, so a warm
-    call can never be less robust than a cold one.
+    flipped — falls back to a cold solve, so a warm call can never be
+    less robust than a cold one.  A slack start that fails the same way
+    falls back once to phase 1/2.
 
     Pricing allocates nothing per column: the column dot products are
     inlined and every float stays unboxed.  The dual ratio test orders
@@ -72,7 +78,7 @@ type result = {
 let neg_inf = Float.neg_infinity
 let inf = Float.infinity
 
-exception Warm_fallback
+exception Fallback
 exception Invariant_broken of string
 
 (* Refactorization triggers.  The fill ratio — (L + dynamic U + row
@@ -185,6 +191,46 @@ let[@inline] col_sub c j v (b : float array) =
 (* Value of a nonbasic column at its current status. *)
 let[@inline] nb_value (nb_at : char array) (lo : float array) hi j =
   match nb_at.(j) with 'l' -> lo.(j) | 'u' -> hi.(j) | _ -> 0.0
+
+(* A nonbasic column's cold status: at its lower bound when that is
+   finite, else at its upper bound, else free at zero. *)
+let[@inline] home_status (lo : float array) (hi : float array) j =
+  if Float.is_finite lo.(j) then 'l'
+  else if Float.is_finite hi.(j) then 'u'
+  else 'f'
+
+(* Where a solve attempt starts. *)
+type start =
+  | Phase1
+      (* the all-slack point, an artificial on each row it leaves out of
+         bounds: primal phase 1, then phase 2 *)
+  | Slack  (* the all-slack basis, dual feasible as it stands: the dual loop *)
+  | Warm of basis  (* the caller's basis, repaired: the dual loop *)
+
+(* Whether a cold solve starts at the all-slack basis.  Every slack is
+   basic there, so c_B = 0, y = 0 and each structural column's reduced
+   cost is its own cost: the basis is dual feasible as it stands when
+   each cost has the sign the column's cold status allows (non-negative
+   at a finite lower bound, non-positive at an upper bound alone, zero
+   when free).  Dual feasibility alone does not make the dual loop the
+   better start: an objective that prices few columns leaves its ratio
+   test choosing among zero reduced costs, and on the event LP's
+   makespan objective, which prices one column, the dual took more
+   pivots than phase 1/2.  So the slack start also asks that most
+   structural columns carry a nonzero cost, as the energy objective's
+   do. *)
+let slack_start_fits (obj : float array) lo hi nv =
+  let priced = ref 0 and feasible = ref true in
+  for j = 0 to nv - 1 do
+    let c = obj.(j) in
+    if c <> 0.0 then incr priced;
+    if lo.(j) < hi.(j) then
+      match home_status lo hi j with
+      | 'l' -> if c < 0.0 then feasible := false
+      | 'u' -> if c > 0.0 then feasible := false
+      | _ -> if c <> 0.0 then feasible := false
+  done;
+  !feasible && 2 * !priced > nv
 
 (* --- layer timers -----------------------------------------------------
    Exclusive wall seconds per solver layer, summed in one float array
@@ -325,11 +371,28 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
     r
   end
   else begin
-    (* One solve attempt: cold (phase 1/2 primal) when [warm_opt = None],
-       otherwise installs the given basis and runs the dual simplex.
-       Warm attempts raise [Warm_fallback] on any irreparable state and
-       are retried cold by the dispatcher below. *)
-    let attempt warm_opt =
+    (* The solve's work, summed over its attempts: an attempt abandoned
+       for another counts as much as the one that finishes, as the layer
+       timers [tm] already do.  Flushed to {!Stats} once per solve. *)
+    let n_factor = ref 0 in
+    let c_ft_updates = ref 0 in
+    let fill_max = ref 0.0 in
+    let c_ftran_sp = ref 0
+    and c_ftran_dn = ref 0
+    and c_btran_sp = ref 0
+    and c_btran_dn = ref 0 in
+    let pivots = ref 0 in
+    let phase1 = ref 0 in
+    let dual_pivots = ref 0 in
+    let bound_flips = ref 0 in
+    (* One solve attempt from [start], counting its pivots in [iters].
+       Slack and warm attempts raise [Fallback] on any irreparable
+       state and are retried by the dispatcher below. *)
+    let attempt iters start =
+      (* Fallback causes are counted for warm attempts only. *)
+      let note_diag d =
+        match start with Warm _ -> Stats.note_diag d | Phase1 | Slack -> ()
+      in
       let nart = ref 0 in
       let art_row = Array.make m (-1) and art_sig = Array.make m 1.0 in
       let cols = { a = p.a; nv; m; art_row; art_sig } in
@@ -343,14 +406,11 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let nb_at = Array.make cap 'l' in
       let basis = Array.make m 0 in
       let x_basic = Array.make m 0.0 in
-      (match warm_opt with
-      | None ->
+      (match start with
+      | Phase1 ->
           (* Initial nonbasic statuses for structural columns. *)
           for j = 0 to nv - 1 do
-            nb_at.(j) <-
-              (if Float.is_finite lo.(j) then 'l'
-               else if Float.is_finite hi.(j) then 'u'
-               else 'f')
+            nb_at.(j) <- home_status lo hi j
           done;
           (* Row activities of the nonbasic structural point. *)
           let act = Array.make m 0.0 in
@@ -381,15 +441,26 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               x_basic.(i) <- Float.abs r
             end
           done
-      | Some wb ->
+      | Slack ->
+          (* Every slack basic, every structural column at its cold
+             status; the basic point, bounds violated or not, is
+             computed once the basis is factored. *)
+          for j = 0 to nv - 1 do
+            nb_at.(j) <- home_status lo hi j
+          done;
+          for i = 0 to m - 1 do
+            basis.(i) <- nv + i;
+            where.(nv + i) <- i
+          done
+      | Warm wb ->
           (* Install the caller's basis; repair nonbasic statuses against
              the (possibly changed) bounds. *)
           if Array.length wb.basic <> m || Array.length wb.vstat <> nv + m
-          then raise Warm_fallback;
+          then raise Fallback;
           Array.iteri
             (fun k j ->
               if j < 0 || j >= nv + m || where.(j) >= 0 then
-                raise Warm_fallback;
+                raise Fallback;
               basis.(k) <- j;
               where.(j) <- k)
             wb.basic;
@@ -399,13 +470,9 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 (match wb.vstat.(j) with
                 | 'l' when Float.is_finite lo.(j) -> 'l'
                 | 'u' when Float.is_finite hi.(j) -> 'u'
-                | _ ->
-                    if Float.is_finite lo.(j) then 'l'
-                    else if Float.is_finite hi.(j) then 'u'
-                    else 'f')
+                | _ -> home_status lo hi j)
           done);
       (* --- basis factorization machinery ------------------------------- *)
-      let n_factor = ref 0 in
       (* Staircase bands: the caller supplies per-structural-column and
          per-row stage indices; each factorization maps them onto the
          current basis (slacks and artificials inherit their row's
@@ -429,8 +496,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         | Some mk ->
             Lu.factor ~bands:(mk ()) ~m (fun k f -> col_iter basis.(k) f)
       in
-      let c_ft_updates = ref 0 in
-      let fill_max = ref 0.0 in
       let scratch = Array.make m 0.0 in
       let bwork = Array.make m 0.0 in
       (* --- hypersparse kernel state ------------------------------------
@@ -450,10 +515,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       let sb_ind = Array.make m 0 in
       let sb_in = Array.make m (-1) in
       let sb_epoch = ref 0 in
-      let c_ftran_sp = ref 0
-      and c_ftran_dn = ref 0
-      and c_btran_sp = ref 0
-      and c_btran_dn = ref 0 in
       (* Adaptive dense/sparse switching: the reachability probe costs
          real work even when it aborts at the cutoff, so after [af_trip]
          consecutive dense fallbacks a kernel goes straight to the dense
@@ -476,10 +537,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
               (fun (kpos, row) ->
                 let old = basis.(kpos) in
                 where.(old) <- -1;
-                nb_at.(old) <-
-                  (if Float.is_finite lo.(old) then 'l'
-                   else if Float.is_finite hi.(old) then 'u'
-                   else 'f');
+                nb_at.(old) <- home_status lo hi old;
                 let slack = nv + row in
                 if where.(slack) >= 0 then
                   failwith "Revised: basis repair failed (slack already basic)";
@@ -492,7 +550,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
          updatable U storage, rebuilt (cheaply — the workspace is reused)
          at every refactorization. *)
       let ftw = Lu.Ft.make_wsp m in
-      let iters = ref 0 in
       (* Test-only ([~check:true]): the structure the unchecked kernels
          index through, re-checked after every factorization and every
          update. *)
@@ -698,9 +755,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         lap tm l_btran t0
       in
       (* --- simplex iterations ------------------------------------------ *)
-      let phase1 = ref 0 in
-      let dual_pivots = ref 0 in
-      let bound_flips = ref 0 in
       let bland = ref false in
       let degen = ref 0 in
       let price_cursor = ref 0 in
@@ -939,17 +993,23 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         done;
         !outcome
       in
-      (* --- dual simplex (warm re-solves) -------------------------------
+      (* --- dual simplex (warm and slack starts) ------------------------
          Invariant: nonbasic reduced costs are dual-feasible (repaired on
          entry); basic variables may violate their bounds.  Each iteration
          picks the most-violated basic variable to leave, prices the row
          with a dual ratio test, flips boxed columns whose full flip is
          cheaper than the remaining violation (bound-flip ratio test) and
-         pivots the blocking column in. *)
+         pivots the blocking column in.  A warm start gives up after
+         [m + 2000] dual pivots, for a cold solve is then likely the
+         cheaper way on; a slack start is the cold solve, and runs under
+         the solve's iteration limit alone. *)
       let run_dual () =
         let outcome = ref `Run in
         let bad_pivots = ref 0 in
-        let dual_cap = m + 2000 in
+        let dual0 = !dual_pivots in
+        let dual_cap =
+          match start with Warm _ -> m + 2000 | Phase1 | Slack -> max_int
+        in
         (* Row-major view for pricing: alpha = rho^T A is gathered over
            supp(rho) only, so each iteration costs the fill of the pivot
            row rather than a full-matrix scan.  [stamp]/[touched] give
@@ -973,8 +1033,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         recompute_d ();
         while !outcome = `Run do
           if !iters >= max_iter then outcome := `Iter_limit
-          else if !dual_pivots > dual_cap then begin
-            Stats.note_diag Stats.Dual_cap_hit;
+          else if !dual_pivots - dual0 > dual_cap then begin
+            note_diag Stats.Dual_cap_hit;
             outcome := `Numerical
           end
           else begin
@@ -1169,8 +1229,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       in
       (* --- phases ------------------------------------------------------- *)
       let status = ref Optimal in
-      (match warm_opt with
-      | None ->
+      (match start with
+      | Phase1 ->
           (* phase 1 *)
           if !nart > 0 then begin
             for k = 0 to !nart - 1 do
@@ -1192,7 +1252,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
                 failwith "Revised: phase 1 unbounded (internal error)"
             | `Iter_limit -> status := Iter_limit
             | `Run -> assert false);
-            phase1 := !iters;
+            phase1 := !phase1 + !iters;
             (* Fix artificials at zero for phase 2. *)
             for k = 0 to !nart - 1 do
               let aj = nv + m + k in
@@ -1212,17 +1272,18 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             | `Iter_limit -> status := Iter_limit
             | `Run -> assert false
           end
-      | Some _ ->
+      | Slack | Warm _ ->
           Array.blit p.obj 0 cost 0 nv;
           (* Dual-feasibility repair: a boxed nonbasic sitting at the wrong
              bound for its reduced-cost sign is flipped to the other bound;
              a non-boxed one with the wrong sign cannot be repaired without
-             pivoting, so fall back to the cold path. *)
+             pivoting, so fall back to the cold path.  A slack start only
+             begins where nothing needs repair. *)
           duals ();
           let t0 = Unix.gettimeofday () in
           let irreparable () =
-            Stats.note_diag Stats.Repair_fallback;
-            raise Warm_fallback
+            note_diag Stats.Repair_fallback;
+            raise Fallback
           in
           let flipped = ref false in
           for j = 0 to nv + m - 1 do
@@ -1302,8 +1363,8 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
             | `Primal_infeasible -> status := Infeasible
             | `Iter_limit -> status := Iter_limit
             | `Numerical ->
-                Stats.note_diag Stats.Dual_numerical;
-                raise Warm_fallback
+                note_diag Stats.Dual_numerical;
+                raise Fallback
             | `Run -> assert false
           end);
       (* --- extraction --------------------------------------------------- *)
@@ -1367,17 +1428,6 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
           Some { basic = bas; vstat }
         end
       in
-      Stats.note_solve
-        ~warm:(warm_opt <> None)
-        ~iterations:!iters ~phase1:!phase1 ~dual:!dual_pivots
-        ~flips:!bound_flips ~factors:!n_factor
-        ~wall:(Unix.gettimeofday () -. t_solve0);
-      Stats.note_kernels ~ftran_sp:!c_ftran_sp ~ftran_dn:!c_ftran_dn
-        ~btran_sp:!c_btran_sp ~btran_dn:!c_btran_dn;
-      Stats.note_ft ~updates:!c_ft_updates ~fill_max:!fill_max;
-      Stats.note_layers ~factor:tm.(l_factor) ~ftran:tm.(l_ftran)
-        ~btran:tm.(l_btran) ~price:tm.(l_price) ~ratio:tm.(l_ratio)
-        ~update:tm.(l_update);
       {
         status = !status;
         objective = Model.objective_value p x;
@@ -1388,17 +1438,51 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
         basis = basis_out;
       }
     in
-    match warm with
-    | None -> attempt None
-    | Some wb -> (
-        try attempt (Some wb) with
-        | Warm_fallback ->
-            Stats.note_fallback ();
-            attempt None
-        | Failure _ ->
-            Stats.note_diag Stats.Failure_fallback;
-            Stats.note_fallback ();
-            attempt None)
+    (* Each attempt's pivots join the solve's count however it ends; the
+       solve counts as warm when its last attempt was. *)
+    let last_warm = ref false in
+    let run start =
+      let iters = ref 0 in
+      last_warm := (match start with Warm _ -> true | Phase1 | Slack -> false);
+      Fun.protect
+        ~finally:(fun () -> pivots := !pivots + !iters)
+        (fun () -> attempt iters start)
+    in
+    (* A cold solve takes the slack start when it fits, and falls back
+       from it once, to phase 1/2. *)
+    let cold () =
+      if not (slack_start_fits p.obj lo hi nv) then run Phase1
+      else begin
+        Stats.note_slack_start ();
+        try run Slack
+        with Fallback | Failure _ ->
+          Stats.note_slack_fallback ();
+          run Phase1
+      end
+    in
+    let flush () =
+      Stats.note_solve ~warm:!last_warm ~iterations:!pivots ~phase1:!phase1
+        ~dual:!dual_pivots ~flips:!bound_flips ~factors:!n_factor
+        ~wall:(Unix.gettimeofday () -. t_solve0);
+      Stats.note_kernels ~ftran_sp:!c_ftran_sp ~ftran_dn:!c_ftran_dn
+        ~btran_sp:!c_btran_sp ~btran_dn:!c_btran_dn;
+      Stats.note_ft ~updates:!c_ft_updates ~fill_max:!fill_max;
+      Stats.note_layers ~factor:tm.(l_factor) ~ftran:tm.(l_ftran)
+        ~btran:tm.(l_btran) ~price:tm.(l_price) ~ratio:tm.(l_ratio)
+        ~update:tm.(l_update)
+    in
+    Fun.protect ~finally:flush (fun () ->
+        match warm with
+        | None -> cold ()
+        | Some wb -> (
+            try run (Warm wb) with
+            | Fallback ->
+                Stats.note_fallback ();
+                cold ()
+            | Failure _ ->
+                Stats.note_diag Stats.Failure_fallback;
+                Stats.note_fallback ();
+                cold ()))
   end
 
 let solve ?max_iter ?feas_tol ?opt_tol ?lb ?ub ?rhs ?warm ?analysis ?bands

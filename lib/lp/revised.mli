@@ -1,23 +1,34 @@
 (** Bounded-variable revised simplex with sparse basis factorization
     ({!Lu}) and Forrest–Tomlin updates ({!Lu.Ft}).
 
-    Every LP takes one path.  FTRAN/BTRAN run hypersparse: the
+    Every LP runs the same kernels.  FTRAN/BTRAN run hypersparse: the
     triangular solves visit only the symbolic reachability set of the
     right-hand side's nonzeros ({!Lu.Ft.ftran_sp}/{!Lu.Ft.btran_sp}),
     with an adaptive fallback to the dense kernels when the result fills
     in.  Pricing is Dantzig's rule over a rotating partial-pricing
     window, with an automatic switch to (full-scan) Bland's rule after a
     run of degenerate pivots; the ratio test is a two-pass Harris test.
-    Infeasible starting points are repaired by a phase-1 objective over
-    artificial variables.  The basis is refactorized when the
-    Forrest–Tomlin fill ratio exceeds 2.0 or after 256 updates.
+    The basis is refactorized when the Forrest–Tomlin fill ratio exceeds
+    2.0 or after 256 updates.
+
+    A cold solve chooses its start from the LP, with no option to
+    override it.  When the all-slack basis is dual feasible as it stands
+    (every structural cost has the sign its starting bound allows: at
+    least zero at a finite lower bound, at most zero at an upper bound
+    alone, zero when free) and more than half of the structural columns
+    carry a nonzero cost, the dual simplex below runs from that basis,
+    with no artificials and no phase 1, under the solve's iteration
+    limit; should it give up, the solve restarts once in phase 1/2.
+    Every other cold solve repairs its infeasible starting point with a
+    phase-1 objective over artificial variables, then runs phase 2.
 
     Re-solves of the same problem with different bounds or RHS can be
     warm-started: pass a previous result's {!type:basis} as [?warm] and
     the solver repairs it against the new bounds and runs a dual simplex
     (largest-violation leaving row, dual ratio test with bound flips)
-    instead of the cold phase-1/2 path.  Any irreparable warm state falls
-    back to a cold solve, so warm calls are never less robust.
+    instead of a cold start.  Any irreparable warm state, or more than
+    [nr + 2000] dual pivots, falls back to a cold solve, so warm calls
+    are never less robust.
 
     Counters (cold/warm solves, primal/dual pivots, kernel sparse/dense
     splits, warm fallbacks by cause) and exclusive wall times per solver
@@ -44,6 +55,9 @@ type result = {
   y : float array;  (** row duals, length [nr] *)
   dj : float array;  (** structural reduced costs, length [nv] *)
   iterations : int;
+      (** pivots of the attempt that produced this result; the pivots of
+          a warm or slack attempt abandoned on the way count in {!Stats}
+          only *)
   basis : basis option;
       (** final simplex basis, reusable as [?warm] on a re-solve of the
           same problem shape; [None] when no clean slack/structural basis

@@ -11,8 +11,10 @@ type snapshot = {
   solves : int;
   cold_solves : int;
   warm_solves : int;  (** solves that ran from a caller-supplied basis *)
-  warm_fallbacks : int;
-      (** warm attempts abandoned for a cold phase-1/2 restart *)
+  slack_starts : int;
+      (** cold solves that started from the dual-feasible slack basis *)
+  slack_fallbacks : int;  (** ... and fell back to phase 1/2 *)
+  warm_fallbacks : int;  (** warm attempts abandoned for a cold restart *)
   repair_fallbacks : int;
       (** ... because a wrong-signed reduced cost could not be repaired *)
   dual_numerical : int;  (** ... because the dual loop gave up *)
@@ -58,6 +60,8 @@ type snapshot = {
 
 let solves = Atomic.make 0
 let warm_solves = Atomic.make 0
+let slack_starts = Atomic.make 0
+let slack_fallbacks = Atomic.make 0
 let warm_fallbacks = Atomic.make 0
 let repair_fallbacks = Atomic.make 0
 let dual_numerical = Atomic.make 0
@@ -113,6 +117,8 @@ let reset () =
     [
       solves;
       warm_solves;
+      slack_starts;
+      slack_fallbacks;
       warm_fallbacks;
       repair_fallbacks;
       dual_numerical;
@@ -146,6 +152,8 @@ let reset () =
   Atomic.set reclaim_base_j_a 0.0
 
 let note_fallback () = ignore (Atomic.fetch_and_add warm_fallbacks 1)
+let note_slack_start () = Atomic.incr slack_starts
+let note_slack_fallback () = Atomic.incr slack_fallbacks
 
 type diag = Dual_cap_hit | Dual_numerical | Repair_fallback | Failure_fallback
 
@@ -217,6 +225,8 @@ let snapshot () =
     solves;
     cold_solves = solves - warm_solves;
     warm_solves;
+    slack_starts = Atomic.get slack_starts;
+    slack_fallbacks = Atomic.get slack_fallbacks;
     warm_fallbacks = Atomic.get warm_fallbacks;
     repair_fallbacks = Atomic.get repair_fallbacks;
     dual_numerical = Atomic.get dual_numerical;
@@ -267,6 +277,8 @@ let () =
           ("solves", Putil.Obs.Int s.solves);
           ("cold_solves", Putil.Obs.Int s.cold_solves);
           ("warm_solves", Putil.Obs.Int s.warm_solves);
+          ("slack_starts", Putil.Obs.Int s.slack_starts);
+          ("slack_fallbacks", Putil.Obs.Int s.slack_fallbacks);
           ("warm_fallbacks", Putil.Obs.Int s.warm_fallbacks);
           ("repair_fallbacks", Putil.Obs.Int s.repair_fallbacks);
           ("dual_numerical", Putil.Obs.Int s.dual_numerical);
@@ -307,11 +319,13 @@ let () =
 
 let pp ppf (s : snapshot) =
   Fmt.pf ppf
-    "%d solves (%d cold, %d warm, %d fallbacks), %d pivots (%d primal, %d \
-     in phase 1, %d dual, %d flips), %d factorizations, %.3f s (factor \
-     %.3f, ftran %.3f, btran %.3f, price %.3f, ratio %.3f, update %.3f); %d \
-     presolves (%d rows, %d cols dropped), %.3f s"
-    s.solves s.cold_solves s.warm_solves s.warm_fallbacks s.pivots
+    "%d solves (%d cold, %d slack starts, %d slack fallbacks, %d warm, %d \
+     warm fallbacks), %d pivots (%d primal, %d in phase 1, %d dual, %d \
+     flips), %d factorizations, %.3f s (factor %.3f, ftran %.3f, btran \
+     %.3f, price %.3f, ratio %.3f, update %.3f); %d presolves (%d rows, %d \
+     cols dropped), %.3f s"
+    s.solves s.cold_solves s.slack_starts s.slack_fallbacks s.warm_solves
+    s.warm_fallbacks s.pivots
     s.primal_pivots s.phase1_pivots s.dual_pivots s.bound_flips
     s.factorizations s.wall_s s.factor_s s.ftran_s s.btran_s s.price_s
     s.ratio_s s.update_s s.presolve_calls s.presolve_rows_dropped

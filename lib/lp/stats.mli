@@ -1,9 +1,9 @@
 (** Process-wide solver counters (atomic, shared across pool domains).
 
-    {!Revised.solve} reports every solve: cold vs warm start, the
-    primal/dual pivot split, bound flips, basis factorizations, wall
-    time and its exclusive split over the solver layers, and why warm
-    attempts fell back; {!Presolve.reduce} reports every reduction, with
+    {!Revised.solve} reports every solve: cold vs warm start, which cold
+    solves started from the slack basis, the primal/dual pivot split,
+    bound flips, basis factorizations, wall time and its exclusive split
+    over the solver layers, and why warm attempts fell back; {!Presolve.reduce} reports every reduction, with
     its own wall time outside the solve's.  Reset before the region you want to
     measure, snapshot after;
     [warmbench] and the benchmark harness are the main consumers. *)
@@ -12,10 +12,18 @@ type snapshot = {
   solves : int;
   cold_solves : int;
   warm_solves : int;  (** solves that ran from a caller-supplied basis *)
+  slack_starts : int;
+      (** cold solves that started from the all-slack basis with the dual
+          loop, no artificials and no phase 1, because that basis was
+          dual feasible and the objective priced most columns; they count
+          in [cold_solves] too *)
+  slack_fallbacks : int;
+      (** slack starts abandoned for phase 1/2 (the dual loop gave up, or
+          a basis went singular beyond repair) *)
   warm_fallbacks : int;
-      (** warm attempts abandoned for a cold phase-1/2 restart; the next
-          three fields count them by cause, and a wrong-shaped basis
-          makes up the rest *)
+      (** warm attempts abandoned for a cold restart; the next three
+          fields count them by cause, and a wrong-shaped basis makes up
+          the rest *)
   repair_fallbacks : int;
       (** a nonbasic column's reduced cost had the wrong sign and the
           column had no opposite bound to flip to *)
@@ -27,7 +35,10 @@ type snapshot = {
   dual_cap_hits : int;
       (** dual loops stopped at their [m + 2000] pivot cap (each also
           counts in [dual_numerical]) *)
-  pivots : int;  (** total simplex iterations, primal + dual *)
+  pivots : int;
+      (** total simplex iterations, primal + dual, of every attempt: an
+          abandoned warm or slack attempt's pivots, flips and
+          factorizations count like those of the attempt that finishes *)
   primal_pivots : int;
   phase1_pivots : int;
       (** primal pivots spent in phase 1 (cold solves with artificials) *)
@@ -92,6 +103,12 @@ val pp : Format.formatter -> snapshot -> unit
 (** {2 Internal increment API (used by {!Revised})} *)
 
 val note_fallback : unit -> unit
+
+val note_slack_start : unit -> unit
+(** Count one cold solve started from the slack basis. *)
+
+val note_slack_fallback : unit -> unit
+(** Count one slack start abandoned for phase 1/2. *)
 
 val note_edit : warm:bool -> fallback:bool -> unit
 (** Count one {!Edit.resolve}: [warm] when the basis mapping succeeded

@@ -131,7 +131,7 @@ let request_of_string s = request_of_json (Json.of_string s)
    every change that can move a byte of [output] or [err] for some
    request, so that a daemon restarted on a store written by another
    build computes afresh instead of reviving that build's rendering. *)
-let output_version = 3
+let output_version = 4
 
 (* Solving requests are keyed by the output version and the complete
    content of their parameters, in the ["stage:digest"] convention of

@@ -495,6 +495,54 @@ let test_unbounded () =
   Alcotest.(check bool) "revised unbounded" true
     (Lp.Revised.(solve p).status = Lp.Revised.Unbounded)
 
+(* Which start a cold solve took: slack starts, slack fallbacks and
+   phase-1 pivots over [f ()]. *)
+let starts_of f =
+  let s0 = Lp.Stats.snapshot () in
+  let r = f () in
+  let s1 = Lp.Stats.snapshot () in
+  let d g = g s1 - g s0 in
+  ( r,
+    ( d (fun s -> s.Lp.Stats.slack_starts),
+      d (fun s -> s.Lp.Stats.slack_fallbacks),
+      d (fun s -> s.Lp.Stats.phase1_pivots) ) )
+
+(* Both costs are non-negative at finite lower bounds, so the slack
+   basis is dual feasible and the dual loop starts there; the rows
+   x + y >= 3 and x + y <= 1 contradict each other, and the dual finds
+   that no column can relieve the second after the first is met. *)
+let test_slack_start_infeasible () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~obj:1.0 "x" in
+  let y = Lp.Model.add_var m ~obj:2.0 "y" in
+  Lp.Model.add_constr m [ (1.0, x); (1.0, y) ] Lp.Model.Ge 3.0;
+  Lp.Model.add_constr m [ (1.0, x); (1.0, y) ] Lp.Model.Le 1.0;
+  let p = Lp.Model.compile m in
+  let r, starts = starts_of (fun () -> Lp.Revised.solve ~check:true p) in
+  Alcotest.(check (triple int int int))
+    "slack starts, fallbacks, phase-1 pivots" (1, 0, 0) starts;
+  Alcotest.(check bool) "infeasible" true
+    (r.Lp.Revised.status = Lp.Revised.Infeasible);
+  Alcotest.(check bool) "dense agrees" true
+    (Lp.Dense_simplex.(solve p).status = Lp.Dense_simplex.Infeasible)
+
+(* The slack basis of [min x s.t. x + y + z >= 1] is dual feasible, but
+   the objective prices one column of three: phase 1 runs. *)
+let test_one_priced_column_takes_phase1 () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~obj:1.0 "x" in
+  let y = Lp.Model.add_var m ~obj:0.0 "y" in
+  let z = Lp.Model.add_var m ~obj:0.0 "z" in
+  Lp.Model.add_constr m [ (1.0, x); (1.0, y); (1.0, z) ] Lp.Model.Ge 1.0;
+  let p = Lp.Model.compile m in
+  let r, (slack, fallbacks, phase1) =
+    starts_of (fun () -> Lp.Revised.solve p)
+  in
+  Alcotest.(check (pair int int)) "no slack start" (0, 0) (slack, fallbacks);
+  Alcotest.(check bool) "phase-1 pivots" true (phase1 > 0);
+  Alcotest.(check bool) "optimal" true (r.Lp.Revised.status = Lp.Revised.Optimal);
+  check_float "objective" 0.0 r.Lp.Revised.objective
+
 
 let test_beale_cycling_example () =
   (* Beale's classic degenerate LP cycles under textbook Dantzig pivoting
@@ -2325,6 +2373,10 @@ let suite =
         Alcotest.test_case "revised eq/ge" `Quick test_revised_eq_ge;
         Alcotest.test_case "infeasible" `Quick test_infeasible;
         Alcotest.test_case "unbounded" `Quick test_unbounded;
+        Alcotest.test_case "slack start proves infeasibility" `Quick
+          test_slack_start_infeasible;
+        Alcotest.test_case "one priced column takes phase 1" `Quick
+          test_one_priced_column_takes_phase1;
         Alcotest.test_case "free variable" `Quick test_free_variable;
         Alcotest.test_case "negative bounds" `Quick test_negative_bounds;
         Alcotest.test_case "degenerate" `Quick test_degenerate;

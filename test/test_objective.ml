@@ -2,10 +2,10 @@
    against the makespan mode, warm starts across the objective switch,
    and the slack-reclamation post-pass invariants. *)
 
-let scenario app seed nranks =
+let scenario ?(iterations = 3) app seed nranks =
   let g =
     Workloads.Apps.generate app
-      { Workloads.Apps.default_params with nranks; iterations = 3; seed }
+      { Workloads.Apps.default_params with nranks; iterations; seed }
   in
   Core.Scenario.make g
 
@@ -64,6 +64,43 @@ let prop_cross_mode_duality =
           prev := e.Core.Event_lp.objective;
           ok)
         [ 1.1; 1.3; 1.6; 2.0 ])
+
+(* A cold energy solve starts at the dual-feasible slack basis, with no
+   phase 1, and reaches the dense tableau oracle's objective on the same
+   (unreduced) LP, at deadlines from T* to 2 T*.  Two iterations per
+   rank keep the oracle's dense tableau to about a second at 4 ranks. *)
+let prop_slack_start_matches_dense =
+  QCheck.Test.make ~count:12 ~name:"energy slack starts match the dense oracle"
+    QCheck.(triple (int_bound 1000) (int_range 2 4) (float_range 1.0 2.0))
+    (fun (seed, nranks, m) ->
+      let app =
+        List.nth Workloads.Apps.all_apps
+          (seed mod List.length Workloads.Apps.all_apps)
+      in
+      let sc = scenario ~iterations:2 app seed nranks in
+      let cap = 45.0 *. Float.of_int nranks in
+      let t_star = (solve_makespan sc ~cap).Core.Event_lp.makespan in
+      let objective =
+        Core.Objective.Energy_under_deadline { deadline = m *. t_star }
+      in
+      let pz = Core.Event_lp.prepare ~objective sc ~power_cap:cap in
+      let s0 = Lp.Stats.snapshot () in
+      let o, _ = Core.Event_lp.solve_prepared pz ~power_cap:cap in
+      let s1 = Lp.Stats.snapshot () in
+      let d f = f s1 - f s0 in
+      if d (fun s -> s.Lp.Stats.slack_starts) <> 1 then
+        QCheck.Test.fail_report "no slack start";
+      if d (fun s -> s.Lp.Stats.phase1_pivots) <> 0 then
+        QCheck.Test.fail_report "phase-1 pivots";
+      let rd = Lp.Dense_simplex.solve (Core.Event_lp.prepared_problem pz) in
+      match (o, rd.Lp.Dense_simplex.status) with
+      | Core.Event_lp.Schedule s, Lp.Dense_simplex.Optimal ->
+          let e = s.Core.Event_lp.objective
+          and ed = rd.Lp.Dense_simplex.objective in
+          if Float.abs (e -. ed) > 1e-9 *. Float.abs ed then
+            QCheck.Test.fail_reportf "energy %.17g, dense oracle %.17g" e ed;
+          true
+      | _ -> QCheck.Test.fail_report "not optimal under both solvers")
 
 (* the two modes report both metrics: the makespan schedule's lp_energy
    must equal the energy objective's value of the same blends *)
@@ -197,6 +234,7 @@ let suite =
     ( "objective.duality",
       [
         QCheck_alcotest.to_alcotest prop_cross_mode_duality;
+        QCheck_alcotest.to_alcotest prop_slack_start_matches_dense;
         Alcotest.test_case "both metrics reported" `Quick
           test_schedule_reports_both;
       ] );

@@ -536,6 +536,7 @@ let test_daemon_refuses_malformed_under_client_id () =
                               [
                                 "factor_s"; "ftran_s"; "btran_s"; "price_s";
                                 "ratio_s"; "update_s"; "phase1_pivots";
+                                "slack_starts"; "slack_fallbacks";
                               ]
                         | _ -> false)
                     | _ -> false)

@@ -61,6 +61,64 @@ let test_what_if_pin () =
     (String.sub o.Serve.Handlers.err 0
        (min (String.length want) (String.length o.Serve.Handlers.err)))
 
+(* [powerlim energy --app comd --ranks 16 --iters 10 --cap 40] at 1.2 T*:
+   the energy objective prices nearly every column of the reduced LP, so
+   the solve starts at the dual-feasible slack basis and runs no phase 1.
+   From phase 1/2 the same LP took 2,052 pivots (926 in phase 1) to an
+   objective 4 ulps away, at 0x1.4e3af4b4d8499p+12. *)
+let test_energy_slack_start_pin () =
+  let sc = scenario ~ranks:16 ~iters:10 in
+  let cap = 40.0 *. 16.0 in
+  let t_star = (schedule (Core.Event_lp.solve sc ~power_cap:cap)).Core.Event_lp.makespan in
+  let s0 = Lp.Stats.snapshot () in
+  let s =
+    schedule
+      (Core.Event_lp.solve
+         ~objective:(Core.Objective.Energy_under_deadline { deadline = 1.2 *. t_star })
+         sc ~power_cap:cap)
+  in
+  let s1 = Lp.Stats.snapshot () in
+  let d f = f s1 - f s0 in
+  Alcotest.(check (list int))
+    "slack starts, slack fallbacks, phase-1 pivots, pivots" [ 1; 0; 0; 424 ]
+    [
+      d (fun s -> s.Lp.Stats.slack_starts);
+      d (fun s -> s.Lp.Stats.slack_fallbacks);
+      d (fun s -> s.Lp.Stats.phase1_pivots);
+      d (fun s -> s.Lp.Stats.pivots);
+    ];
+  Alcotest.(check string) "objective bits" "0x1.4e3af4b4d8495p+12"
+    (Printf.sprintf "%h" s.Core.Event_lp.objective);
+  let phase12 = float_of_string "0x1.4e3af4b4d8499p+12" in
+  Alcotest.(check bool) "phase-1/2 objective to 1e-9" true
+    (Float.abs (s.Core.Event_lp.objective -. phase12) <= 1e-9 *. phase12)
+
+(* [powerlim what-if --app bt --ranks 16 --iters 10 --cap 40
+   --drop-rank 3]: the warm dual loop stops at its m + 2000 cap (m =
+   1,556) and the solve restarts cold.  The abandoned attempt's 3,557
+   dual pivots count with the base's 2,898 and the cold restart's
+   2,716. *)
+let test_abandoned_attempt_counted () =
+  Putil.Cache.clear_all ();
+  let s0 = Lp.Stats.snapshot () in
+  let o =
+    Serve.Handlers.what_if ~app:Workloads.Apps.BT ~ranks:16 ~iters:10
+      ~seed:42 ~cap:40.0
+      ~edits:[ Core.Event_lp.Drop_rank 3 ]
+      ()
+  in
+  let s1 = Lp.Stats.snapshot () in
+  let d f = f s1 - f s0 in
+  Alcotest.(check int) "status" 0 o.Serve.Handlers.status;
+  Alcotest.(check (list int))
+    "warm fallbacks, dual cap hits, dual pivots, pivots" [ 1; 1; 3557; 9171 ]
+    [
+      d (fun s -> s.Lp.Stats.warm_fallbacks);
+      d (fun s -> s.Lp.Stats.dual_cap_hits);
+      d (fun s -> s.Lp.Stats.dual_pivots);
+      d (fun s -> s.Lp.Stats.pivots);
+    ]
+
 (* Minor words per pivot over the bound's solve (presolve restore and
    schedule extraction included).  The per-pivot scans allocated about
    2,800 words per pivot when they boxed a float per priced column, and
@@ -133,6 +191,8 @@ let test_stats_export_layers () =
       "dual_numerical";
       "repair_fallbacks";
       "failure_fallbacks";
+      "slack_starts";
+      "slack_fallbacks";
     ]
   in
   match Putil.Obs.stats_json () with
@@ -295,6 +355,10 @@ let suite =
         Alcotest.test_case "sweep 4x3 solver work" `Quick test_sweep_pin;
         Alcotest.test_case "what-if comd 16x10 fail-socket 8" `Quick
           test_what_if_pin;
+        Alcotest.test_case "energy comd 16x10 at 1.2 T* starts at the slack basis"
+          `Quick test_energy_slack_start_pin;
+        Alcotest.test_case "an abandoned warm attempt's pivots count" `Quick
+          test_abandoned_attempt_counted;
         Alcotest.test_case "allocation per pivot" `Quick test_allocation_budget;
         Alcotest.test_case "layer timers cover the solve" `Quick
           test_layer_timers_cover_the_solve;
